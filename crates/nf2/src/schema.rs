@@ -28,6 +28,9 @@ pub struct RelationSchema {
 
 impl RelationSchema {
     /// The tuple type of one complex object of this relation.
+    ///
+    /// This deep-clones every attribute type, so it is for cold paths only;
+    /// per-access code borrows [`RelationSchema::attributes`] instead.
     pub fn tuple_type(&self) -> AttrType {
         AttrType::Tuple(self.attributes.clone())
     }

@@ -153,19 +153,22 @@ impl fmt::Display for AttrType {
             AttrType::Atomic(a) => write!(f, "{a}"),
             AttrType::Set(e) => write!(f, "S<{e}>"),
             AttrType::List(e) => write!(f, "L<{e}>"),
-            AttrType::Tuple(fs) => {
-                write!(f, "T(")?;
-                for (i, a) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{}: {}", a.name, a.ty)?;
-                }
-                write!(f, ")")
-            }
+            AttrType::Tuple(fs) => fmt_fields(f, fs),
             AttrType::Ref(t) => write!(f, "ref<{t}>"),
         }
     }
+}
+
+/// Writes a tuple type from its fields, `T(name: type, …)`.
+pub(crate) fn fmt_fields(f: &mut fmt::Formatter<'_>, fields: &[Attribute]) -> fmt::Result {
+    write!(f, "T(")?;
+    for (i, a) in fields.iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        write!(f, "{}: {}", a.name, a.ty)?;
+    }
+    write!(f, ")")
 }
 
 /// A named attribute of a tuple type or relation.

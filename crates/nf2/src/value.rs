@@ -2,9 +2,9 @@
 
 use crate::error::Nf2Error;
 use crate::schema::{DatabaseSchema, RelationSchema};
-use crate::types::{AtomicType, AttrType};
+use crate::types::{fmt_fields, AtomicType, AttrType, Attribute};
 use crate::Result;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Key of a complex object within its relation (the value of the relation's
 /// key attribute). Only atomic values can be keys.
@@ -16,11 +16,43 @@ pub enum ObjectKey {
     Int(i64),
 }
 
+impl ObjectKey {
+    fn borrowed(&self) -> KeyRef<'_> {
+        match self {
+            ObjectKey::Str(s) => KeyRef::Str(s),
+            ObjectKey::Int(i) => KeyRef::Int(*i),
+        }
+    }
+}
+
 impl fmt::Display for ObjectKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.borrowed().fmt(f)
+    }
+}
+
+/// A borrowed [`ObjectKey`]: equality, order and display match the owned
+/// key, so key comparisons on the hot path need not copy strings.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum KeyRef<'a> {
+    Str(&'a str),
+    Int(i64),
+}
+
+impl KeyRef<'_> {
+    fn owned(self) -> ObjectKey {
         match self {
-            ObjectKey::Str(s) => f.write_str(s),
-            ObjectKey::Int(i) => write!(f, "{i}"),
+            KeyRef::Str(s) => ObjectKey::Str(s.to_string()),
+            KeyRef::Int(i) => ObjectKey::Int(i),
+        }
+    }
+}
+
+impl fmt::Display for KeyRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeyRef::Str(s) => f.write_str(s),
+            KeyRef::Int(i) => write!(f, "{i}"),
         }
     }
 }
@@ -138,23 +170,40 @@ impl Value {
 
     /// Converts an atomic value to an [`ObjectKey`], if possible.
     pub fn as_key(&self) -> Option<ObjectKey> {
+        self.key_ref().map(KeyRef::owned)
+    }
+
+    fn key_ref(&self) -> Option<KeyRef<'_>> {
         match self {
-            Value::Str(s) => Some(ObjectKey::Str(s.clone())),
-            Value::Int(i) => Some(ObjectKey::Int(*i)),
+            Value::Str(s) => Some(KeyRef::Str(s)),
+            Value::Int(i) => Some(KeyRef::Int(*i)),
             _ => None,
+        }
+    }
+
+    /// The borrowed element key: the key field of a tuple element, the
+    /// element itself otherwise.
+    fn element_key_ref(&self, elem_ty: &AttrType) -> Option<KeyRef<'_>> {
+        match (self, elem_ty) {
+            (Value::Tuple(_), AttrType::Tuple(fields)) => {
+                let key_attr = fields.iter().find(|a| a.key)?;
+                self.field(&key_attr.name)?.key_ref()
+            }
+            _ => self.key_ref(),
         }
     }
 
     /// For a tuple value with a `key` attribute flagged in `fields`, extracts
     /// the element key; for an atomic value, the value itself.
     pub fn element_key(&self, elem_ty: &AttrType) -> Option<ObjectKey> {
-        match (self, elem_ty) {
-            (Value::Tuple(_), AttrType::Tuple(fields)) => {
-                let key_attr = fields.iter().find(|a| a.key)?;
-                self.field(&key_attr.name)?.as_key()
-            }
-            _ => self.as_key(),
-        }
+        self.element_key_ref(elem_ty).map(KeyRef::owned)
+    }
+
+    /// Whether this element's key is `key`: the same answer as
+    /// `element_key(elem_ty) == Some(key)`, compared in place without
+    /// building an owned key.
+    pub fn has_element_key(&self, elem_ty: &AttrType, key: &ObjectKey) -> bool {
+        self.element_key_ref(elem_ty) == Some(key.borrowed())
     }
 
     /// Collects all [`ObjectRef`]s contained anywhere in this value.
@@ -189,73 +238,17 @@ impl Value {
         }
     }
 
-    /// Type checks this value against `ty`; `path` is used for error messages.
+    /// Type checks this value against `ty`; `path` names the value in error
+    /// messages. Nothing is allocated unless the check fails.
     pub fn check_type(&self, ty: &AttrType, path: &str) -> Result<()> {
-        let mismatch = |found: &str| {
-            Err(Nf2Error::TypeMismatch {
-                path: path.to_string(),
-                expected: ty.to_string(),
-                found: found.to_string(),
-            })
-        };
-        match (self, ty) {
-            (Value::Str(_), AttrType::Atomic(AtomicType::Str)) => Ok(()),
-            (Value::Int(_), AttrType::Atomic(AtomicType::Int)) => Ok(()),
-            (Value::Real(_), AttrType::Atomic(AtomicType::Real)) => Ok(()),
-            (Value::Bool(_), AttrType::Atomic(AtomicType::Bool)) => Ok(()),
-            (Value::Ref(r), AttrType::Ref(target)) => {
-                if &r.relation == target {
-                    Ok(())
-                } else {
-                    mismatch(&format!("ref<{}>", r.relation))
-                }
-            }
-            (Value::Set(es), AttrType::Set(elem)) => {
-                let mut keys = Vec::with_capacity(es.len());
-                for (i, e) in es.iter().enumerate() {
-                    e.check_type(elem, &format!("{path}[{i}]"))?;
-                    if let Some(k) = e.element_key(elem) {
-                        keys.push(k);
-                    }
-                }
-                keys.sort_unstable();
-                if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
-                    return Err(Nf2Error::DuplicateSetKey {
-                        path: path.to_string(),
-                        key: w[0].to_string(),
-                    });
-                }
-                Ok(())
-            }
-            (Value::List(es), AttrType::List(elem)) => {
-                for (i, e) in es.iter().enumerate() {
-                    e.check_type(elem, &format!("{path}[{i}]"))?;
-                }
-                Ok(())
-            }
-            (Value::Tuple(vals), AttrType::Tuple(fields)) => {
-                if vals.len() != fields.len() {
-                    return mismatch(&format!("tuple of {} fields", vals.len()));
-                }
-                for ((name, v), f) in vals.iter().zip(fields) {
-                    if name != &f.name {
-                        return Err(Nf2Error::BadPath {
-                            path: path.to_string(),
-                            step: name.clone(),
-                        });
-                    }
-                    v.check_type(&f.ty, &format!("{path}.{name}"))?;
-                }
-                Ok(())
-            }
-            (v, _) => mismatch(kind_name(v)),
-        }
+        check_value(self, ty).map_err(|fault| fault.into_error(path))
     }
 
     /// Validates this value as a complex object of `relation` and returns its
-    /// key.
+    /// key. The value is checked against the relation's attributes in place;
+    /// nothing but the returned key is allocated unless the check fails.
     pub fn check_object(&self, relation: &RelationSchema) -> Result<ObjectKey> {
-        self.check_type(&relation.tuple_type(), &relation.name)?;
+        check_tuple(self, &relation.attributes).map_err(|fault| fault.into_error(&relation.name))?;
         let key_attr = relation
             .key_attribute()
             .ok_or_else(|| Nf2Error::MissingKey(relation.name.clone()))?;
@@ -275,6 +268,172 @@ impl Value {
         }
         Ok(())
     }
+}
+
+/// A failed type check, recorded by borrowing from the value and the type.
+/// The failing node's path is collected while the recursion unwinds, so a
+/// successful check allocates nothing; [`TypeFault::into_error`] renders it.
+struct TypeFault<'a> {
+    fault: Fault<'a>,
+    /// Steps from the failing node up to the checked root (innermost first).
+    below: Vec<PathStep<'a>>,
+}
+
+enum Fault<'a> {
+    Mismatch { expected: Expected<'a>, found: Found<'a> },
+    MisnamedField(&'a str),
+    DuplicateKey(KeyRef<'a>),
+}
+
+enum Expected<'a> {
+    Type(&'a AttrType),
+    Tuple(&'a [Attribute]),
+}
+
+enum Found<'a> {
+    Kind(&'static str),
+    Ref(&'a str),
+    Fields(usize),
+}
+
+enum PathStep<'a> {
+    Index(usize),
+    Field(&'a str),
+}
+
+impl<'a> TypeFault<'a> {
+    fn new(fault: Fault<'a>) -> Self {
+        TypeFault { fault, below: Vec::new() }
+    }
+
+    fn mismatch(expected: Expected<'a>, found: Found<'a>) -> Self {
+        Self::new(Fault::Mismatch { expected, found })
+    }
+
+    fn under(mut self, step: PathStep<'a>) -> Self {
+        self.below.push(step);
+        self
+    }
+
+    /// The error for a check that started at `root`, e.g.
+    /// `cells.robots[0].trajectory` for `root = "cells"`.
+    fn into_error(self, root: &str) -> Nf2Error {
+        let mut path = root.to_string();
+        for step in self.below.iter().rev() {
+            let _ = match step {
+                PathStep::Index(i) => write!(path, "[{i}]"),
+                PathStep::Field(name) => write!(path, ".{name}"),
+            };
+        }
+        match self.fault {
+            Fault::Mismatch { expected, found } => Nf2Error::TypeMismatch {
+                path,
+                expected: expected.to_string(),
+                found: found.to_string(),
+            },
+            Fault::MisnamedField(step) => Nf2Error::BadPath { path, step: step.to_string() },
+            Fault::DuplicateKey(key) => Nf2Error::DuplicateSetKey { path, key: key.to_string() },
+        }
+    }
+}
+
+impl fmt::Display for Expected<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expected::Type(ty) => ty.fmt(f),
+            Expected::Tuple(fields) => fmt_fields(f, fields),
+        }
+    }
+}
+
+impl fmt::Display for Found<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Found::Kind(kind) => f.write_str(kind),
+            Found::Ref(relation) => write!(f, "ref<{relation}>"),
+            Found::Fields(n) => write!(f, "tuple of {n} fields"),
+        }
+    }
+}
+
+type Checked<'a> = std::result::Result<(), TypeFault<'a>>;
+
+/// The one type checker behind [`Value::check_type`] and
+/// [`Value::check_object`].
+fn check_value<'a>(value: &'a Value, ty: &'a AttrType) -> Checked<'a> {
+    let mismatch = |found| Err(TypeFault::mismatch(Expected::Type(ty), found));
+    match (value, ty) {
+        (Value::Str(_), AttrType::Atomic(AtomicType::Str))
+        | (Value::Int(_), AttrType::Atomic(AtomicType::Int))
+        | (Value::Real(_), AttrType::Atomic(AtomicType::Real))
+        | (Value::Bool(_), AttrType::Atomic(AtomicType::Bool)) => Ok(()),
+        (Value::Ref(r), AttrType::Ref(target)) => {
+            if &r.relation == target {
+                Ok(())
+            } else {
+                mismatch(Found::Ref(&r.relation))
+            }
+        }
+        (Value::Set(es), AttrType::Set(elem)) => {
+            check_elements(es, elem)?;
+            match smallest_duplicate(es.iter().filter_map(|e| e.element_key_ref(elem))) {
+                Some(key) => Err(TypeFault::new(Fault::DuplicateKey(key))),
+                None => Ok(()),
+            }
+        }
+        (Value::List(es), AttrType::List(elem)) => check_elements(es, elem),
+        (_, AttrType::Tuple(fields)) => check_tuple(value, fields),
+        (v, _) => mismatch(Found::Kind(kind_name(v))),
+    }
+}
+
+fn check_elements<'a>(elements: &'a [Value], elem_ty: &'a AttrType) -> Checked<'a> {
+    for (i, e) in elements.iter().enumerate() {
+        check_value(e, elem_ty).map_err(|fault| fault.under(PathStep::Index(i)))?;
+    }
+    Ok(())
+}
+
+/// Checks a tuple against its fields: arity, field names in schema order,
+/// then each field's value.
+fn check_tuple<'a>(value: &'a Value, fields: &'a [Attribute]) -> Checked<'a> {
+    let Value::Tuple(vals) = value else {
+        return Err(TypeFault::mismatch(Expected::Tuple(fields), Found::Kind(kind_name(value))));
+    };
+    if vals.len() != fields.len() {
+        return Err(TypeFault::mismatch(Expected::Tuple(fields), Found::Fields(vals.len())));
+    }
+    for ((name, v), f) in vals.iter().zip(fields) {
+        if name != &f.name {
+            return Err(TypeFault::new(Fault::MisnamedField(name)));
+        }
+        check_value(v, &f.ty).map_err(|fault| fault.under(PathStep::Field(name)))?;
+    }
+    Ok(())
+}
+
+/// The smallest key that occurs twice among `keys`. The borrowed keys are
+/// sorted in a stack buffer when they fit (the common small set), so the
+/// duplicate test allocates only for sets of more than 32 keyed elements.
+fn smallest_duplicate<'a>(keys: impl Iterator<Item = KeyRef<'a>>) -> Option<KeyRef<'a>> {
+    const INLINE: usize = 32;
+    let mut inline = [KeyRef::Int(0); INLINE];
+    let mut spilled = Vec::new();
+    let mut n = 0;
+    for key in keys {
+        if n < INLINE {
+            inline[n] = key;
+        } else {
+            if n == INLINE {
+                spilled.extend_from_slice(&inline);
+            }
+            spilled.push(key);
+        }
+        n += 1;
+    }
+    let sorted = if n <= INLINE { &mut inline[..n] } else { &mut spilled[..] };
+    sorted.sort_unstable();
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 fn kind_name(v: &Value) -> &'static str {

@@ -3,7 +3,7 @@
 
 use colock_nf2::types::shorthand as ty;
 use colock_nf2::value::build as val;
-use colock_nf2::{AttrPath, AttrType, Value};
+use colock_nf2::{AttrPath, AttrType, Attribute, ObjectKey, Value};
 use colock_testkit::prop::{alpha_string, any_finite_f64, any_i64, pick_weighted, vec_of};
 use colock_testkit::{ensure, ensure_eq, forall, Rng};
 
@@ -154,4 +154,98 @@ fn display_of_values_never_panics() {
         let _ = v.to_string();
         Ok(())
     });
+}
+
+/// A key drawn from a tiny pool so matches are common: `Int(1)` and
+/// `Str("1")` are both in it and must never match each other.
+fn small_key(rng: &mut Rng) -> ObjectKey {
+    if rng.gen_bool(0.5) {
+        ObjectKey::Int(rng.gen_range(0i64..3))
+    } else {
+        ObjectKey::Str(["0", "1", "a"][rng.gen_range(0usize..3)].to_string())
+    }
+}
+
+/// A candidate key field: usually a keyable atom, sometimes a value that
+/// carries no key at all.
+fn key_field(rng: &mut Rng) -> Value {
+    match pick_weighted(rng, &[3, 3, 1, 1]) {
+        0 => Value::Int(rng.gen_range(0i64..3)),
+        1 => Value::str(["0", "1", "a"][rng.gen_range(0usize..3)]),
+        2 => Value::Real(1.0),
+        _ => Value::Bool(true),
+    }
+}
+
+/// Generator: an element type and an element built with the value
+/// builders — atoms, keyed tuples (`_id` convention or an explicit key
+/// flag), keyless tuples, tuples missing their key field, containers, and
+/// values of the wrong shape for their type.
+fn keyed_element(rng: &mut Rng) -> (AttrType, Value) {
+    match rng.gen_range(0u32..8) {
+        0 => (ty::str_(), key_field(rng)),
+        1 => (ty::int_(), key_field(rng)),
+        2 => (
+            ty::tuple(vec![ty::attr("x_id", ty::str_()), ty::attr("v", ty::int_())]),
+            val::tup(vec![("x_id", key_field(rng)), ("v", Value::Int(0))]),
+        ),
+        3 => (
+            ty::tuple(vec![ty::attr("v", ty::real_()), Attribute::key("n", ty::int_())]),
+            val::tup(vec![("v", Value::Real(0.5)), ("n", key_field(rng))]),
+        ),
+        4 => (
+            ty::tuple(vec![ty::attr("name", ty::str_())]),
+            val::tup(vec![("name", key_field(rng))]),
+        ),
+        5 => (
+            ty::tuple(vec![ty::attr("x_id", ty::str_()), ty::attr("v", ty::int_())]),
+            val::tup(vec![("v", key_field(rng))]),
+        ),
+        6 => (ty::set(ty::str_()), val::set(vec![key_field(rng)])),
+        _ => (
+            ty::tuple(vec![ty::attr("x_id", ty::int_())]),
+            key_field(rng),
+        ),
+    }
+}
+
+#[derive(Debug, Clone)]
+struct KeyCase(AttrType, Value, ObjectKey);
+
+colock_testkit::no_shrink!(KeyCase);
+
+#[test]
+fn has_element_key_agrees_with_element_key() {
+    forall!(
+        |rng| {
+            let (t, v) = keyed_element(rng);
+            KeyCase(t, v, small_key(rng))
+        },
+        |KeyCase(t, v, k)| {
+            ensure_eq!(
+                v.has_element_key(t, k),
+                v.element_key(t).as_ref() == Some(k),
+                "{v} : {t} vs {k:?}"
+            );
+            // The value's own key, when it has one, always matches.
+            if let Some(own) = v.element_key(t) {
+                ensure!(v.has_element_key(t, &own));
+            }
+            Ok(())
+        }
+    );
+}
+
+#[test]
+fn int_and_str_keys_never_match() {
+    let t = ty::tuple(vec![ty::attr("x_id", ty::str_())]);
+    let v = val::tup(vec![("x_id", Value::str("1"))]);
+    assert!(v.has_element_key(&t, &ObjectKey::Str("1".into())));
+    assert!(!v.has_element_key(&t, &ObjectKey::Int(1)));
+    assert!(!Value::Int(1).has_element_key(&ty::int_(), &ObjectKey::Str("1".into())));
+    assert!(Value::Int(1).has_element_key(&ty::int_(), &ObjectKey::Int(1)));
+    // A tuple without a key attribute has no element key at all.
+    let keyless = ty::tuple(vec![ty::attr("name", ty::str_())]);
+    let v = val::tup(vec![("name", Value::str("1"))]);
+    assert!(!v.has_element_key(&keyless, &ObjectKey::Str("1".into())));
 }

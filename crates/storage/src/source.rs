@@ -1,9 +1,13 @@
 //! [`InstanceSource`] implementation: the store feeds the lock protocols.
+//!
+//! Every walk here borrows its types from the relation schema, so scanning
+//! an object for references costs no type copies (§4.4.2.1: propagation
+//! "adds no extra I/O", and it should add no extra allocation either).
 
 use crate::navigate;
 use crate::store::Store;
 use colock_core::{InstanceSource, InstanceTarget, ReverseScan, TargetStep};
-use colock_nf2::{AttrType, ObjectKey, ObjectRef, Value};
+use colock_nf2::{AttrType, Attribute, ObjectKey, ObjectRef, Value};
 
 impl InstanceSource for Store {
     fn refs_under(&self, target: &InstanceTarget) -> Vec<ObjectRef> {
@@ -48,27 +52,21 @@ impl InstanceSource for Store {
             return Vec::new();
         };
         self.with_object(&target.relation, key, |obj| {
-            let mut out = Vec::new();
-            // The object's root tuple counts once when the whole object (or a
-            // heterogeneous top) is targeted.
-            if target.steps.is_empty() {
-                out.push(InstanceTarget::object(&target.relation, key.clone()));
-            }
+            let mut tuples =
+                TupleCollector { relation: &target.relation, obj_key: key, out: Vec::new() };
             let Some(sub) = navigate::navigate(schema, obj, &target.steps) else {
-                return out;
+                return tuples.out;
             };
-            let sub_ty = resolve_target_type(&schema.tuple_type(), &target.steps);
-            if let Some(ty) = sub_ty {
-                collect_element_tuples(
-                    &target.relation,
-                    key,
-                    &target.steps,
-                    sub,
-                    &ty,
-                    &mut out,
-                );
+            let mut prefix = target.steps.clone();
+            if target.steps.is_empty() {
+                // The object's root tuple counts once when the whole object
+                // is targeted.
+                tuples.out.push(InstanceTarget::object(&target.relation, key.clone()));
+                tuples.fields(&mut prefix, sub, &schema.attributes);
+            } else if let Some(ty) = navigate::path_type(schema, &target.steps) {
+                tuples.value(&mut prefix, sub, ty);
             }
-            out
+            tuples.out
         })
         .unwrap_or_default()
     }
@@ -86,16 +84,16 @@ impl InstanceSource for Store {
             for obj_key in keys {
                 scan.objects_scanned += 1;
                 let _ = self.with_object(&rel.name, &obj_key, |obj| {
-                    find_referencing_paths(
-                        &rel.name,
-                        &obj_key,
-                        obj,
-                        &rel.tuple_type(),
-                        relation,
-                        key,
-                        &mut Vec::new(),
-                        &mut scan.referencing,
-                    );
+                    let mut finder = RefFinder {
+                        relation: &rel.name,
+                        obj_key: &obj_key,
+                        target_rel: relation,
+                        target_key: key,
+                        out: &mut scan.referencing,
+                    };
+                    if let Value::Tuple(vals) = obj {
+                        finder.fields(&mut Vec::new(), vals, &rel.attributes);
+                    }
                 });
             }
         }
@@ -108,114 +106,131 @@ impl InstanceSource for Store {
     }
 }
 
-/// Resolves the `AttrType` at the end of target steps (stepping through
-/// set/list constructors; elem steps consume the element type).
-fn resolve_target_type(root: &AttrType, steps: &[TargetStep]) -> Option<AttrType> {
-    let mut cur = root.clone();
-    for s in steps {
-        let t = colock_nf2::path::resolve_step(&cur, &s.attr)?.clone();
-        cur = if s.elem.is_some() { t.element()?.clone() } else { t };
-    }
-    Some(cur)
+/// Collects the basic element tuples below a value as lock targets: each
+/// element of each set/list, recursively.
+struct TupleCollector<'a> {
+    relation: &'a str,
+    obj_key: &'a ObjectKey,
+    out: Vec<InstanceTarget>,
 }
 
-/// Collects the basic element tuples in `value` (of type `ty`) as lock
-/// targets: each element of each set/list, recursively.
-fn collect_element_tuples(
-    relation: &str,
-    obj_key: &ObjectKey,
-    prefix: &[TargetStep],
-    value: &Value,
-    ty: &AttrType,
-    out: &mut Vec<InstanceTarget>,
-) {
-    match ty {
-        AttrType::Tuple(fields) => {
-            for f in fields {
-                if let Some(v) = value.field(&f.name) {
-                    let mut p = prefix.to_vec();
-                    p.push(TargetStep::attr(&f.name));
-                    collect_element_tuples(relation, obj_key, &p, v, &f.ty, out);
-                }
-            }
-        }
-        AttrType::Set(elem) | AttrType::List(elem) => {
-            let Some(es) = value.elements() else {
-                return;
-            };
-            for e in es {
-                let Some(k) = e.element_key(elem) else {
-                    continue;
-                };
-                let mut p = prefix.to_vec();
-                // Replace the trailing bare attr step with an elem step.
-                if let Some(last) = p.last_mut() {
-                    if last.elem.is_none() {
-                        last.elem = Some(k.clone());
-                    }
-                }
-                out.push(InstanceTarget {
-                    relation: relation.to_string(),
-                    object: Some(obj_key.clone()),
-                    steps: p.clone(),
-                });
-                collect_element_tuples(relation, obj_key, &p, e, elem, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Walks `value` looking for references to `target_rel[target_key]`,
-/// recording the path of the innermost enclosing element (or the object
-/// itself).
-#[allow(clippy::too_many_arguments)]
-fn find_referencing_paths(
-    relation: &str,
-    obj_key: &ObjectKey,
-    value: &Value,
-    ty: &AttrType,
-    target_rel: &str,
-    target_key: &ObjectKey,
-    prefix: &mut Vec<TargetStep>,
-    out: &mut Vec<InstanceTarget>,
-) {
-    match (value, ty) {
-        (Value::Ref(r), _)
-            if r.relation == target_rel && &r.key == target_key => {
-                // Cut at the last element step: the referencing *subobject*.
-                let cut = prefix
-                    .iter()
-                    .rposition(|s| s.elem.is_some())
-                    .map(|i| i + 1)
-                    .unwrap_or(0);
-                out.push(InstanceTarget {
-                    relation: relation.to_string(),
-                    object: Some(obj_key.clone()),
-                    steps: prefix[..cut].to_vec(),
-                });
-            }
-        (Value::Tuple(fields), AttrType::Tuple(fts)) => {
-            for ((name, v), ft) in fields.iter().zip(fts) {
-                debug_assert_eq!(name, &ft.name);
-                prefix.push(TargetStep::attr(name));
-                find_referencing_paths(relation, obj_key, v, &ft.ty, target_rel, target_key, prefix, out);
+impl TupleCollector<'_> {
+    fn fields(&mut self, prefix: &mut Vec<TargetStep>, value: &Value, fields: &[Attribute]) {
+        for f in fields {
+            if let Some(v) = value.field(&f.name) {
+                prefix.push(TargetStep::attr(&f.name));
+                self.value(prefix, v, &f.ty);
                 prefix.pop();
             }
         }
-        (Value::Set(es), AttrType::Set(elem)) | (Value::List(es), AttrType::List(elem)) => {
-            for e in es {
-                let k = e.element_key(elem);
-                if let Some(last) = prefix.last_mut() {
-                    last.elem = k.clone();
-                }
-                find_referencing_paths(relation, obj_key, e, elem, target_rel, target_key, prefix, out);
-                if let Some(last) = prefix.last_mut() {
-                    last.elem = None;
+    }
+
+    fn value(&mut self, prefix: &mut Vec<TargetStep>, value: &Value, ty: &AttrType) {
+        match ty {
+            AttrType::Tuple(fields) => self.fields(prefix, value, fields),
+            AttrType::Set(elem) | AttrType::List(elem) => {
+                let Some(es) = value.elements() else {
+                    return;
+                };
+                for e in es {
+                    let Some(k) = e.element_key(elem) else {
+                        continue;
+                    };
+                    // Turn the trailing bare attr step into an elem step.
+                    let keyed = match prefix.last_mut() {
+                        Some(last) if last.elem.is_none() => {
+                            last.elem = Some(k);
+                            true
+                        }
+                        _ => false,
+                    };
+                    self.out.push(InstanceTarget {
+                        relation: self.relation.to_string(),
+                        object: Some(self.obj_key.clone()),
+                        steps: prefix.clone(),
+                    });
+                    self.value(prefix, e, elem);
+                    if keyed {
+                        if let Some(last) = prefix.last_mut() {
+                            last.elem = None;
+                        }
+                    }
                 }
             }
+            _ => {}
         }
-        _ => {}
+    }
+}
+
+/// One step of the walk from an object down to a value: the attribute, and
+/// inside a set/list the current element with its type. Keys are derived
+/// only when a match is recorded.
+struct Step<'v> {
+    attr: &'v str,
+    elem: Option<(&'v Value, &'v AttrType)>,
+}
+
+impl Step<'_> {
+    fn key(&self) -> Option<ObjectKey> {
+        self.elem.and_then(|(e, ty)| e.element_key(ty))
+    }
+}
+
+/// Walks one object looking for references to `target_rel[target_key]`,
+/// recording the path of the innermost enclosing element (or the object
+/// itself).
+struct RefFinder<'a> {
+    relation: &'a str,
+    obj_key: &'a ObjectKey,
+    target_rel: &'a str,
+    target_key: &'a ObjectKey,
+    out: &'a mut Vec<InstanceTarget>,
+}
+
+impl RefFinder<'_> {
+    fn fields<'v>(
+        &mut self,
+        prefix: &mut Vec<Step<'v>>,
+        vals: &'v [(String, Value)],
+        fields: &'v [Attribute],
+    ) {
+        for ((name, v), ft) in vals.iter().zip(fields) {
+            debug_assert_eq!(name, &ft.name);
+            prefix.push(Step { attr: name, elem: None });
+            self.value(prefix, v, &ft.ty);
+            prefix.pop();
+        }
+    }
+
+    fn value<'v>(&mut self, prefix: &mut Vec<Step<'v>>, value: &'v Value, ty: &'v AttrType) {
+        match (value, ty) {
+            (Value::Ref(r), _) if r.relation == self.target_rel && &r.key == self.target_key => {
+                // Cut at the last keyed element step: the referencing
+                // *subobject*.
+                let cut = prefix.iter().rposition(|s| s.key().is_some()).map_or(0, |i| i + 1);
+                self.out.push(InstanceTarget {
+                    relation: self.relation.to_string(),
+                    object: Some(self.obj_key.clone()),
+                    steps: prefix[..cut]
+                        .iter()
+                        .map(|s| TargetStep { attr: s.attr.to_string(), elem: s.key() })
+                        .collect(),
+                });
+            }
+            (Value::Tuple(vals), AttrType::Tuple(fields)) => self.fields(prefix, vals, fields),
+            (Value::Set(es), AttrType::Set(elem)) | (Value::List(es), AttrType::List(elem)) => {
+                for e in es {
+                    if let Some(last) = prefix.last_mut() {
+                        last.elem = Some((e, elem));
+                    }
+                    self.value(prefix, e, elem);
+                    if let Some(last) = prefix.last_mut() {
+                        last.elem = None;
+                    }
+                }
+            }
+            _ => {}
+        }
     }
 }
 

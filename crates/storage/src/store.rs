@@ -169,6 +169,10 @@ impl RelationSnapshot<'_> {
     }
 }
 
+/// `update_at` revisits the node `element_positions` resolved; a write below
+/// a path leaves the path itself in place.
+const RESOLVED: &str = "element_positions resolved this path";
+
 /// The in-memory complex-object store.
 ///
 /// Thread-safe: relations are guarded by per-relation read/write locks (the
@@ -432,17 +436,23 @@ impl Store {
             relation: relation.to_string(),
             key: key.clone(),
         })?;
-        let whole_before = Arc::clone(slot);
-        let obj = Arc::make_mut(slot);
-        let subtree = navigate::navigate_mut(schema, obj, steps).ok_or_else(|| {
+        let positions = navigate::element_positions(schema, slot, steps).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{steps:?}"))
         })?;
+        let obj = Arc::make_mut(slot);
+        let subtree = navigate::at_positions_mut(obj, steps, &positions).expect(RESOLVED);
         let before = std::mem::replace(subtree, new_value);
-        // Re-validate the whole object (type + key stability).
-        let new_key = obj.check_object(schema)?;
-        if &new_key != key {
-            *slot = whole_before;
-            return Err(StorageError::BadTarget("update_at must not change the key".into()));
+        // Re-validate the whole object (type + key stability). A rejected
+        // update puts the previous subvalue back: the transaction logs no
+        // undo record for a failed write, so nothing else would repair it.
+        let rejected = match obj.check_object(schema) {
+            Ok(new_key) if &new_key == key => None,
+            Ok(_) => Some(StorageError::BadTarget("update_at must not change the key".into())),
+            Err(e) => Some(e.into()),
+        };
+        if let Some(e) = rejected {
+            *navigate::at_positions_mut(obj, steps, &positions).expect(RESOLVED) = before;
+            return Err(e);
         }
         if let Some(ts) = version {
             let arc = Arc::clone(slot);
@@ -466,12 +476,10 @@ impl Store {
     ) -> Result<ObjectKey> {
         let schema = self.schema_of(relation)?;
         self.check_refs_resolve(&element)?;
-        let elem_ty = navigate::path_type(schema, container)
-            .and_then(|t| t.element().cloned())
-            .ok_or_else(|| {
-                StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
-            })?;
-        let elem_key = element.element_key(&elem_ty).ok_or_else(|| {
+        let elem_ty = navigate::element_type(schema, container).ok_or_else(|| {
+            StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
+        })?;
+        let elem_key = element.element_key(elem_ty).ok_or_else(|| {
             StorageError::BadTarget(format!(
                 "element inserted at {relation}[{key}].{container:?} has no derivable key"
             ))
@@ -481,23 +489,26 @@ impl Store {
             relation: relation.to_string(),
             key: key.clone(),
         })?;
-        let whole_before = Arc::clone(slot);
         let obj = Arc::make_mut(slot);
         let cont = navigate::navigate_mut(schema, obj, container).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{container:?}"))
         })?;
-        if navigate::find_element(cont, &elem_ty, &elem_key).is_some() {
+        if navigate::find_element(cont, elem_ty, &elem_key).is_some() {
             return Err(StorageError::DuplicateObject {
                 relation: format!("{relation}[{key}].{container:?}"),
                 key: elem_key,
             });
         }
         cont.elements_mut()
-            .expect("path_type proved this is a container")
+            .expect("element_type proved this is a container")
             .push(element);
         // Re-validate the whole object (element type, set-key uniqueness).
+        // A rejected element comes out again; the push left the container's
+        // path in place.
         if let Err(e) = obj.check_object(schema) {
-            *slot = whole_before;
+            navigate::navigate_mut(schema, obj, container)
+                .and_then(Value::elements_mut)
+                .and_then(Vec::pop);
             return Err(e.into());
         }
         Ok(elem_key)
@@ -515,11 +526,9 @@ impl Store {
         elem_key: &ObjectKey,
     ) -> Result<(usize, Value)> {
         let schema = self.schema_of(relation)?;
-        let elem_ty = navigate::path_type(schema, container)
-            .and_then(|t| t.element().cloned())
-            .ok_or_else(|| {
-                StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
-            })?;
+        let elem_ty = navigate::element_type(schema, container).ok_or_else(|| {
+            StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
+        })?;
         let mut data = self.data(relation)?.write_latch();
         let slot = data.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
             relation: relation.to_string(),
@@ -529,7 +538,7 @@ impl Store {
         let cont = navigate::navigate_mut(schema, obj, container).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{container:?}"))
         })?;
-        navigate::remove_element(cont, &elem_ty, elem_key).ok_or_else(|| {
+        navigate::remove_element(cont, elem_ty, elem_key).ok_or_else(|| {
             StorageError::UnknownObject {
                 relation: format!("{relation}[{key}].{container:?}"),
                 key: elem_key.clone(),
@@ -551,11 +560,9 @@ impl Store {
         image: Option<(usize, Value)>,
     ) -> Result<()> {
         let schema = self.schema_of(relation)?;
-        let elem_ty = navigate::path_type(schema, container)
-            .and_then(|t| t.element().cloned())
-            .ok_or_else(|| {
-                StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
-            })?;
+        let elem_ty = navigate::element_type(schema, container).ok_or_else(|| {
+            StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
+        })?;
         let mut data = self.data(relation)?.write_latch();
         let slot = data.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
             relation: relation.to_string(),
@@ -565,7 +572,7 @@ impl Store {
         let cont = navigate::navigate_mut(schema, obj, container).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{container:?}"))
         })?;
-        navigate::remove_element(cont, &elem_ty, elem_key);
+        navigate::remove_element(cont, elem_ty, elem_key);
         if let Some((at, v)) = image {
             if let Some(es) = cont.elements_mut() {
                 es.insert(at.min(es.len()), v);
@@ -841,13 +848,13 @@ fn compose_path(
         let elem_key = last.elem.clone()?;
         let mut cpath = prefix.to_vec();
         cpath.push(TargetStep::attr(last.attr.clone()));
-        let elem_ty = navigate::path_type(schema, &cpath)?.element()?.clone();
+        let elem_ty = navigate::element_type(schema, &cpath)?;
         Some((cpath, elem_ty, elem_key))
     };
-    match navigate::navigate(schema, live, path).cloned() {
+    match navigate::navigate(schema, live, path) {
         Some(src) => {
             if let Some(dst) = navigate::navigate_mut(schema, img, path) {
-                *dst = src;
+                dst.clone_from(src);
                 return true;
             }
             // In live but not in the committed base: an inserted element.
@@ -859,8 +866,8 @@ fn compose_path(
             else {
                 return false;
             };
-            es.retain(|e| e.element_key(&elem_ty).as_ref() != Some(&elem_key));
-            es.push(src);
+            es.retain(|e| !e.has_element_key(elem_ty, &elem_key));
+            es.push(src.clone());
             true
         }
         None => {
@@ -870,7 +877,7 @@ fn compose_path(
             };
             match navigate::navigate_mut(schema, img, &cpath).and_then(Value::elements_mut) {
                 Some(es) => {
-                    es.retain(|e| e.element_key(&elem_ty).as_ref() != Some(&elem_key));
+                    es.retain(|e| !e.has_element_key(elem_ty, &elem_key));
                     true
                 }
                 None => false,
@@ -884,6 +891,7 @@ mod tests {
     use super::*;
     use colock_core::fixtures::fig1_catalog;
     use colock_nf2::value::build::*;
+    use colock_nf2::Nf2Error;
 
     fn store() -> Store {
         Store::new(Arc::new(fig1_catalog()))
@@ -1008,6 +1016,37 @@ mod tests {
         // Object unchanged.
         let v = s.get("effectors", &ObjectKey::from("e1")).unwrap();
         assert_eq!(v.field("eff_id"), Some(&Value::str("e1")));
+    }
+
+    #[test]
+    fn rejected_update_at_pending_leaves_the_object_intact() {
+        let s = store();
+        s.insert("effectors", effector("e1", "a")).unwrap();
+        s.insert("cells", cell("c1", vec![("r1", vec!["e1"]), ("r2", vec![])])).unwrap();
+        let key = ObjectKey::from("c1");
+        let original = s.get("cells", &key).unwrap();
+        let schema = s.catalog().schema().relation("cells").unwrap().clone();
+        let trajectory = [TargetStep::elem("robots", "r2"), TargetStep::attr("trajectory")];
+        // A type error deep inside the object.
+        let err = s.update_at_pending("cells", &key, &trajectory, Value::Int(7)).unwrap_err();
+        let type_mismatch = matches!(err, StorageError::Model(Nf2Error::TypeMismatch { .. }));
+        assert!(type_mismatch, "{err:?}");
+        // A replaced element whose own key field has the wrong type.
+        let bad_robot = tup(vec![
+            ("robot_id", Value::Int(2)),
+            ("trajectory", Value::str("t")),
+            ("effectors", set(vec![])),
+        ]);
+        let robot_r2 = [TargetStep::elem("robots", "r2")];
+        assert!(s.update_at_pending("cells", &key, &robot_r2, bad_robot).is_err());
+        // A write through the element's own key field.
+        let robot_id = [TargetStep::elem("robots", "r2"), TargetStep::attr("robot_id")];
+        assert!(s.update_at_pending("cells", &key, &robot_id, Value::Int(2)).is_err());
+        // Neither rejected write shows: the object is unchanged and valid.
+        let now = s.get("cells", &key).unwrap();
+        assert_eq!(now, original);
+        assert_eq!(now.check_object(&schema).unwrap(), key);
+        assert_eq!(s.get_at("cells", &key, &trajectory).unwrap(), Value::str("t-r2"));
     }
 
     #[test]
@@ -1184,14 +1223,12 @@ mod tests {
             Err(StorageError::BadTarget(_))
         ));
         // A schema-typed element that fails validation is rolled back whole.
+        let original = s.get("cells", &key).unwrap();
         let bad = tup(vec![("robot_id", Value::Int(9))]);
         assert!(s
             .insert_element_pending("cells", &key, &[TargetStep::attr("robots")], bad)
             .is_err());
-        assert_eq!(
-            s.get("cells", &key).unwrap().field("robots").unwrap().elements().unwrap().len(),
-            1
-        );
+        assert_eq!(s.get("cells", &key).unwrap(), original);
     }
 
     #[test]

@@ -104,6 +104,24 @@ fn abort_rolls_back_updates() {
 }
 
 #[test]
+fn rejected_update_then_abort_leaves_the_object_equal_and_valid() {
+    let mgr = manager(ProtocolKind::Proposed);
+    let key = ObjectKey::from("c1");
+    let original = mgr.store().get("cells", &key).unwrap();
+    let t = mgr.begin(TxnKind::Short);
+    let err = t.update(&trajectory("r1"), Value::Int(7)).unwrap_err();
+    assert!(err.to_string().contains("type mismatch"), "{err}");
+    t.abort().unwrap();
+    let now = mgr.store().get("cells", &key).unwrap();
+    assert_eq!(now, original);
+    let schema = mgr.store().catalog().schema().relation("cells").unwrap();
+    assert_eq!(now.check_object(schema).unwrap(), key);
+    let t2 = mgr.begin(TxnKind::Short);
+    assert_eq!(t2.read(&trajectory("r1")).unwrap(), Value::str("t1"));
+    t2.commit().unwrap();
+}
+
+#[test]
 fn abort_rolls_back_insert_and_delete() {
     let mgr = manager(ProtocolKind::Proposed);
     let t = mgr.begin(TxnKind::Short);

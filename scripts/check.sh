@@ -50,6 +50,18 @@ cargo build --release --offline --workspace
 echo "==> cargo test --offline"
 cargo test --offline --workspace -q
 
+echo "==> txnbench smoke test (every benchmark workload tiny, with its verify checks)"
+# The benchmark in txnbench/ is its own cargo workspace over the crates by
+# path. Its smoke test runs every workload at a tiny size, traced and
+# untraced, through the same checks as a full run: versions installed equal
+# committed writers, the final snapshot reads back every thread's last
+# write, the lock table and journal drain. The benchmark refuses to run
+# under any COLOCK_* variable, so they are cleared for this step.
+(
+    for v in $(compgen -e | grep '^COLOCK_' || true); do unset "$v"; done
+    cargo test --offline --manifest-path txnbench/Cargo.toml
+)
+
 echo "==> rustdoc builds warning-free"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 
