@@ -1,8 +1,11 @@
 //! Raw lock-manager operations — the constant factors underneath every
 //! protocol comparison.
 
+use colock_core::fixtures::fig1_catalog;
+use colock_core::{InstanceTarget, ProtocolEngine, ResourcePath};
 use colock_lockmgr::{LockManager, LockMode, LockRequestOptions, TxnId};
 use colock_testkit::{black_box, BenchHarness};
+use std::sync::Arc;
 
 fn bench_acquire_release(h: &mut BenchHarness) {
     let mut group = h.group("lockmgr");
@@ -160,9 +163,58 @@ fn bench_semantic_modes(h: &mut BenchHarness) {
     group.finish();
 }
 
+/// The `lockmgr` group's key operations on the keys the protocol really
+/// uses: the depth-7 Fig. 7 trajectory path
+/// `db/seg/rel/obj:c1/robots/[r1]/trajectory`, plus the cost of building
+/// that path from its target.
+fn bench_resource_paths(h: &mut BenchHarness) {
+    let engine = ProtocolEngine::new(Arc::new(fig1_catalog()));
+    let target = InstanceTarget::object("cells", "c1").elem("robots", "r1").attr("trajectory");
+    let leaf = engine.resource_for(&target).expect("fig1 relation");
+    assert_eq!(leaf.len(), 7);
+    let mut group = h.group("resource_path");
+    group.bench("acquire_release_x", |b| {
+        let lm: LockManager<ResourcePath> = LockManager::new();
+        let txn = TxnId(1);
+        b.iter(|| {
+            lm.acquire(txn, black_box(&leaf).clone(), LockMode::X, LockRequestOptions::default())
+                .unwrap();
+            lm.release(txn, &leaf);
+        });
+    });
+    group.bench("reentrant_covered_acquire", |b| {
+        let lm: LockManager<ResourcePath> = LockManager::new();
+        let txn = TxnId(1);
+        lm.acquire(txn, leaf.clone(), LockMode::X, LockRequestOptions::default()).unwrap();
+        b.iter(|| {
+            lm.acquire(txn, black_box(&leaf).clone(), LockMode::S, LockRequestOptions::default())
+                .unwrap()
+        });
+    });
+    group.bench("chain_of_6_intents", |b| {
+        // The six ancestors of the trajectory (db/seg/rel/obj/robots/[r1])
+        // as one batched IX chain, then X on the leaf: one lock more than
+        // the u64 twin, which stops at the element.
+        let lm: LockManager<ResourcePath> = LockManager::new();
+        let txn = TxnId(1);
+        let ancestors = leaf.ancestors();
+        b.iter(|| {
+            lm.acquire_intent_chain(txn, black_box(&ancestors), LockMode::IX, LockRequestOptions::default())
+                .unwrap();
+            lm.acquire(txn, leaf.clone(), LockMode::X, LockRequestOptions::default()).unwrap();
+            lm.release_all(txn);
+        });
+    });
+    group.bench("resource_for", |b| {
+        b.iter(|| engine.resource_for(black_box(&target)).unwrap());
+    });
+    group.finish();
+}
+
 fn main() {
     let mut h = BenchHarness::new();
     bench_acquire_release(&mut h);
     bench_optimistic_ablation(&mut h);
     bench_semantic_modes(&mut h);
+    bench_resource_paths(&mut h);
 }

@@ -6,12 +6,14 @@ use crate::graph::object::DbLockGraph;
 use crate::protocol::target::{AccessMode, InstanceSource, InstanceTarget};
 use crate::resource::ResourcePath;
 use colock_lockmgr::{
-    AcquireOutcome, LockError, LockManager, LockMode, LockRequestOptions, TxnId, WaitPolicy,
+    AcquireOutcome, FastHasher, LockError, LockManager, LockMode, LockRequestOptions, TxnId,
+    WaitPolicy,
 };
 use colock_trace::{rule_scope, RuleTag};
 use colock_nf2::Catalog;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Errors raised by protocol execution.
@@ -246,10 +248,15 @@ impl ProtocolEngine {
 /// The cache is owned by the transaction's state and dropped at EOT, so
 /// invalidation is automatic; early (pre-EOT) releases must call
 /// [`TxnLockCache::clear`].
+///
+/// Keys hash through the lock table's [`FastHasher`], which for a
+/// [`ResourcePath`] is one write of the path's cached hash.
 #[derive(Debug, Default)]
 pub struct TxnLockCache {
-    held: Mutex<HashMap<ResourcePath, (LockMode, bool)>>,
+    held: Mutex<HeldMap>,
 }
+
+type HeldMap = HashMap<ResourcePath, (LockMode, bool), BuildHasherDefault<FastHasher>>;
 
 impl TxnLockCache {
     /// Creates an empty cache.
@@ -257,7 +264,7 @@ impl TxnLockCache {
         Self::default()
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, HashMap<ResourcePath, (LockMode, bool)>> {
+    fn locked(&self) -> std::sync::MutexGuard<'_, HeldMap> {
         self.held.lock().unwrap_or_else(PoisonError::into_inner)
     }
 

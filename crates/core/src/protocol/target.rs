@@ -77,17 +77,20 @@ impl InstanceTarget {
     /// Builds the [`ResourcePath`] for this target given database and segment
     /// names (the engine supplies them from the catalog).
     pub fn resource(&self, database: &str, segment: &str) -> ResourcePath {
-        let mut p = ResourcePath::database(database).segment(segment).relation(&self.relation);
+        let mut steps = Vec::with_capacity(4 + 2 * self.steps.len());
+        steps.push(PathStep::Database(database.to_string()));
+        steps.push(PathStep::Segment(segment.to_string()));
+        steps.push(PathStep::Relation(self.relation.clone()));
         if let Some(k) = &self.object {
-            p = p.child(PathStep::Object(k.clone()));
+            steps.push(PathStep::Object(k.clone()));
             for s in &self.steps {
-                p = p.attr(&s.attr);
+                steps.push(PathStep::Attr(s.attr.clone()));
                 if let Some(e) = &s.elem {
-                    p = p.child(PathStep::Elem(e.clone()));
+                    steps.push(PathStep::Elem(e.clone()));
                 }
             }
         }
-        p
+        ResourcePath::from_steps(steps)
     }
 
     /// The schema-level attribute path of this target (element keys erased).

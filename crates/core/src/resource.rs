@@ -9,11 +9,17 @@
 //!
 //! `ResourcePath` is the key type of the lock table; every prefix of a path
 //! is itself a lockable ancestor, which makes the root-to-leaf lock chains of
-//! the protocol (rule 5) a simple prefix walk.
+//! the protocol (rule 5) a simple prefix walk. A path is a length-limited
+//! view of shared steps plus the cached hash of that prefix, so ancestors and
+//! clones never copy a step, and hashing a key costs one `u64` write.
 
+use colock_lockmgr::FastHasher;
 use colock_nf2::ObjectKey;
 use colock_testkit::codec::{CodecError, FieldCodec};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// One step of an instance path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,9 +52,45 @@ impl fmt::Display for PathStep {
 }
 
 /// A hierarchical instance path identifying one lockable unit.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The first `len` entries of `steps` are the path; `steps` may be shared
+/// with longer paths this one is a prefix of. `hash` is `fold_hash` folded
+/// over those `len` steps — a pure function of the steps, so equal paths
+/// hash equal whatever storage they share. Equality, ordering and every
+/// rendering look only at the steps.
+#[derive(Clone)]
 pub struct ResourcePath {
-    steps: Vec<PathStep>,
+    steps: Arc<[PathStep]>,
+    len: usize,
+    hash: u64,
+}
+
+impl PartialEq for ResourcePath {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.hash == other.hash
+            && (Arc::ptr_eq(&self.steps, &other.steps) || self.steps() == other.steps())
+    }
+}
+
+impl Eq for ResourcePath {}
+
+impl Hash for ResourcePath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl Ord for ResourcePath {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.steps().cmp(other.steps())
+    }
+}
+
+impl PartialOrd for ResourcePath {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// `Debug` delegates to `Display` (`db:db1/seg:seg1/rel:cells/...`): the
@@ -61,27 +103,46 @@ impl fmt::Debug for ResourcePath {
 }
 
 impl ResourcePath {
+    /// The path hash after `step`, given the hash of the steps before it
+    /// (`0` for the empty prefix). Folding it over a path's steps yields the
+    /// path's hash, and every prefix hash along the way.
+    fn fold_hash(prefix: u64, step: &PathStep) -> u64 {
+        let mut h = FastHasher::default();
+        h.write_u64(prefix);
+        step.hash(&mut h);
+        h.finish()
+    }
+
+    /// The prefix of the first `len` steps, sharing this path's storage.
+    fn prefix(&self, len: usize) -> ResourcePath {
+        let hash = self.steps[..len].iter().fold(0, Self::fold_hash);
+        ResourcePath { steps: Arc::clone(&self.steps), len, hash }
+    }
+
     /// The database root resource.
     pub fn database(name: impl Into<String>) -> Self {
-        ResourcePath { steps: vec![PathStep::Database(name.into())] }
+        Self::from_steps(vec![PathStep::Database(name.into())])
     }
 
     /// Builds a path from raw steps (must start with `Database`).
     pub fn from_steps(steps: Vec<PathStep>) -> Self {
         debug_assert!(matches!(steps.first(), Some(PathStep::Database(_))));
-        ResourcePath { steps }
+        let hash = steps.iter().fold(0, Self::fold_hash);
+        ResourcePath { len: steps.len(), steps: steps.into(), hash }
     }
 
     /// The steps of this path.
     pub fn steps(&self) -> &[PathStep] {
-        &self.steps
+        &self.steps[..self.len]
     }
 
     /// Extends by one step.
     pub fn child(&self, step: PathStep) -> Self {
-        let mut steps = self.steps.clone();
+        let hash = Self::fold_hash(self.hash, &step);
+        let mut steps = Vec::with_capacity(self.len + 1);
+        steps.extend_from_slice(self.steps());
         steps.push(step);
-        ResourcePath { steps }
+        ResourcePath { len: steps.len(), steps: steps.into(), hash }
     }
 
     /// Convenience: segment child.
@@ -111,23 +172,26 @@ impl ResourcePath {
 
     /// The parent resource (one step shorter), or `None` at the database.
     pub fn parent(&self) -> Option<ResourcePath> {
-        if self.steps.len() <= 1 {
-            None
-        } else {
-            Some(ResourcePath { steps: self.steps[..self.steps.len() - 1].to_vec() })
-        }
+        (self.len > 1).then(|| self.prefix(self.len - 1))
     }
 
-    /// All proper ancestors, root first (database, segment, …).
+    /// All proper ancestors, root first (database, segment, …). They share
+    /// this path's storage; their hashes come from one fold over the steps.
     pub fn ancestors(&self) -> Vec<ResourcePath> {
-        (1..self.steps.len())
-            .map(|n| ResourcePath { steps: self.steps[..n].to_vec() })
+        let mut hash = 0;
+        self.steps()[..self.len - 1]
+            .iter()
+            .enumerate()
+            .map(|(i, step)| {
+                hash = Self::fold_hash(hash, step);
+                ResourcePath { steps: Arc::clone(&self.steps), len: i + 1, hash }
+            })
             .collect()
     }
 
     /// Number of steps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// Never empty by construction.
@@ -137,13 +201,14 @@ impl ResourcePath {
 
     /// `true` if `self` is a (non-strict) prefix of `other`.
     pub fn is_prefix_of(&self, other: &ResourcePath) -> bool {
-        other.steps.len() >= self.steps.len()
-            && self.steps.iter().zip(&other.steps).all(|(a, b)| a == b)
+        other.len >= self.len
+            && (Arc::ptr_eq(&self.steps, &other.steps)
+                || self.steps() == &other.steps()[..self.len])
     }
 
     /// The relation name on this path, if the path descends into one.
     pub fn relation_name(&self) -> Option<&str> {
-        self.steps.iter().find_map(|s| match s {
+        self.steps().iter().find_map(|s| match s {
             PathStep::Relation(r) => Some(r.as_str()),
             _ => None,
         })
@@ -151,7 +216,7 @@ impl ResourcePath {
 
     /// The complex-object key on this path, if any.
     pub fn object_key(&self) -> Option<&ObjectKey> {
-        self.steps.iter().find_map(|s| match s {
+        self.steps().iter().find_map(|s| match s {
             PathStep::Object(k) => Some(k),
             _ => None,
         })
@@ -159,8 +224,8 @@ impl ResourcePath {
 
     /// The prefix of this path ending at the complex-object step, if present.
     pub fn object_prefix(&self) -> Option<ResourcePath> {
-        let idx = self.steps.iter().position(|s| matches!(s, PathStep::Object(_)))?;
-        Some(ResourcePath { steps: self.steps[..=idx].to_vec() })
+        let idx = self.steps().iter().position(|s| matches!(s, PathStep::Object(_)))?;
+        Some(self.prefix(idx + 1))
     }
 
     /// The attribute steps after the complex-object step (schema path within
@@ -168,7 +233,7 @@ impl ResourcePath {
     pub fn attr_steps(&self) -> Vec<&str> {
         let mut out = Vec::new();
         let mut past_object = false;
-        for s in &self.steps {
+        for s in self.steps() {
             match s {
                 PathStep::Object(_) => past_object = true,
                 PathStep::Attr(a) if past_object => out.push(a.as_str()),
@@ -181,7 +246,7 @@ impl ResourcePath {
 
 impl fmt::Display for ResourcePath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, s) in self.steps.iter().enumerate() {
+        for (i, s) in self.steps().iter().enumerate() {
             if i > 0 {
                 f.write_str("/")?;
             }
@@ -287,7 +352,7 @@ fn parse_step(seg: &str) -> Result<PathStep, CodecError> {
 
 impl FieldCodec for ResourcePath {
     fn to_field(&self) -> String {
-        self.steps.iter().map(step_field).collect::<Vec<_>>().join("/")
+        self.steps().iter().map(step_field).collect::<Vec<_>>().join("/")
     }
 
     fn from_field(field: &str) -> Result<Self, CodecError> {
@@ -299,7 +364,7 @@ impl FieldCodec for ResourcePath {
                 expected: "resource path starting at db:",
             });
         }
-        Ok(ResourcePath { steps })
+        Ok(ResourcePath::from_steps(steps))
     }
 }
 

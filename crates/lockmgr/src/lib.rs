@@ -36,7 +36,7 @@ pub use persistent::{
     Journal, JournalCrash, JournalError, JournalOp, JournalSink, LongLockImage, Recovered,
 };
 pub use stats::{LockStats, StatsSnapshot};
-pub use table::{AcquireOutcome, LockManager, LockRequestOptions, WaitPolicy};
+pub use table::{AcquireOutcome, FastHasher, LockManager, LockRequestOptions, WaitPolicy};
 pub use txnid::{TxnId, TxnIdGen};
 
 /// Result alias for lock operations.

@@ -87,9 +87,10 @@ use std::time::{Duration, Instant};
 /// decision and hot map in the table. Placement hashes on each acquire and
 /// release were the largest constant factor on the intent chain; SipHash's
 /// DoS resistance buys nothing for an in-process table keyed by internal
-/// resource ids.
+/// resource ids. Exported so resource keys can hash with the same function
+/// the table places them by.
 #[derive(Default)]
-struct FastHasher(u64);
+pub struct FastHasher(u64);
 
 impl FastHasher {
     const K: u64 = 0x517c_c1b7_2722_0a95;

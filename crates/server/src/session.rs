@@ -927,6 +927,22 @@ mod tests {
     }
 
     #[test]
+    fn checkin_after_read_checkout_is_refused() {
+        let (mgr, table, gate) = harness();
+        let mut s = session(&mgr, &table, &gate);
+        ok_fields(s.handle(Request::Begin { kind: BeginKind::Long }));
+        let t = parse_target("rel:cells/obj:c1/attr:robots/elem:r1").unwrap();
+        let copy = ok_fields(s.handle(Request::Checkout { target: t.clone(), access: AccessMode::Read }))
+            .remove(0);
+        let value = crate::wire::parse_value(&copy).unwrap();
+        match &s.handle(Request::Checkin { target: t, value }).frames[0] {
+            Response::Err { code, .. } => assert_eq!(*code, ErrorCode::NotCheckedOut),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(s.handle(Request::Commit).frames[0], Response::Ok(_)));
+    }
+
+    #[test]
     fn deadlock_victim_is_aborted_server_side() {
         let (mgr, table, gate) = harness();
         let c1 = parse_target("rel:cells/obj:c1").unwrap();

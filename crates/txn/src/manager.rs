@@ -60,7 +60,8 @@ impl ProtocolKind {
 pub(crate) struct TxnState {
     pub undo: Vec<crate::undo::UndoRecord>,
     pub shrinking: bool,
-    pub checked_out: HashMap<String, InstanceTarget>,
+    /// Check-outs by target text, with the strongest access checked out.
+    pub checked_out: HashMap<String, AccessMode>,
     /// Per-transaction ancestor-lock cache; dies with the state at EOT, so
     /// invalidation needs no extra bookkeeping. Cleared on early release.
     pub cache: Arc<TxnLockCache>,

@@ -408,20 +408,30 @@ impl<'m> Transaction<'m> {
         let value = self.mgr.store().get_at(&target.relation, &key, &target.steps)?;
         let mut states = self.mgr.states_locked();
         if let Some(st) = states.get_mut(&self.id) {
-            st.checked_out.insert(target.to_string(), target.clone());
+            let held = st.checked_out.entry(target.to_string()).or_insert(access);
+            if access == AccessMode::Update {
+                *held = AccessMode::Update;
+            }
         }
         Ok(value)
     }
 
     /// Checks a modified copy back in; the target must have been checked out
-    /// by this transaction.
+    /// for update by this transaction. A read-only check-out holds only a
+    /// long S lock, so checking it in fails with [`TxnError::NotCheckedOut`].
     pub fn checkin(&self, target: &InstanceTarget, new_value: Value) -> Result<()> {
         self.check_may_write()?;
         {
             let states = self.mgr.states_locked();
             let st = states.get(&self.id).ok_or(TxnError::NotActive(self.id))?;
-            if !st.checked_out.contains_key(&target.to_string()) {
-                return Err(TxnError::NotCheckedOut(target.to_string()));
+            match st.checked_out.get(&target.to_string()) {
+                Some(AccessMode::Update) => {}
+                Some(AccessMode::Read) => {
+                    return Err(TxnError::NotCheckedOut(format!(
+                        "{target} was checked out read-only"
+                    )))
+                }
+                None => return Err(TxnError::NotCheckedOut(target.to_string())),
             }
         }
         let key = target.object.clone().ok_or_else(|| {

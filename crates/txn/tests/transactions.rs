@@ -306,6 +306,24 @@ fn checkin_requires_checkout() {
 }
 
 #[test]
+fn read_only_checkout_cannot_be_checked_in() {
+    // A read check-out holds only a long S lock; checking a copy in would
+    // write the robot under that S lock, visible to concurrent S readers.
+    let mgr = manager(ProtocolKind::Proposed);
+    let t = mgr.begin(TxnKind::Long);
+    let copy = t.checkout(&robot("r1"), AccessMode::Read).unwrap();
+    let err = t.checkin(&robot("r1"), copy.clone()).unwrap_err();
+    assert!(matches!(err, colock_txn::TxnError::NotCheckedOut(_)), "{err}");
+    let reader = mgr.begin(TxnKind::Short);
+    assert_eq!(reader.read(&trajectory("r1")).unwrap(), Value::str("t1"));
+    reader.commit().unwrap();
+    // Checking the same target out again for update makes it check-in-able.
+    t.checkout(&robot("r1"), AccessMode::Update).unwrap();
+    t.checkin(&robot("r1"), copy).unwrap();
+    t.commit().unwrap();
+}
+
+#[test]
 fn drop_without_commit_aborts() {
     let mgr = manager(ProtocolKind::Proposed);
     {

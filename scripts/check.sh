@@ -177,6 +177,9 @@ echo "==> stress_snapshot with the overlay disabled (locking fallback)"
 COLOCK_NO_MVCC=1 COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS=10 \
     cargo run --offline --release -q -p colock-bench --bin stress_snapshot
 
+echo "==> lock-manager bench (5 ms budget: every group runs, including resource_path)"
+COLOCK_BENCH_MS=5 cargo bench --offline -p colock-bench --bench bench_lockmgr -q
+
 echo "==> shard-scaling bench (small budget)"
 COLOCK_BENCH_MS="${COLOCK_BENCH_MS:-50}" \
     cargo bench --offline -p colock-bench --bench bench_shard_scaling -q
