@@ -55,13 +55,30 @@ fn bench_snapshot_read(h: &mut BenchHarness) {
     });
     group.bench("update_commit_installs_version", |b| {
         // Writer-side price of the overlay: every committing update also
-        // composes a patch from its undo log and installs one version.
+        // composes a patch from its undo log and installs one version. No
+        // snapshot sees the superseded image, so the install recomposes it
+        // in place.
         let mgr = cells_manager(&cells, ProtocolKind::Proposed);
         let target = robot_trajectory();
         b.iter(|| {
             let w = mgr.begin(TxnKind::Short);
             w.update(&target, black_box(Value::str("t"))).unwrap();
             w.commit().unwrap();
+        });
+    });
+    group.bench("update_commit_with_pinned_reader", |b| {
+        // The clone fallback: a store snapshot handle pins the newest
+        // version before every commit, so each install composes into a
+        // fresh copy of the committed image. Includes the handle's pin and
+        // unpin.
+        let mgr = cells_manager(&cells, ProtocolKind::Proposed);
+        let target = robot_trajectory();
+        b.iter(|| {
+            let pinned = mgr.store().snapshot("cells").unwrap();
+            let w = mgr.begin(TxnKind::Short);
+            w.update(&target, black_box(Value::str("t"))).unwrap();
+            w.commit().unwrap();
+            drop(pinned);
         });
     });
     group.finish();

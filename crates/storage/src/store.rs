@@ -4,20 +4,26 @@
 //! Every committed state of an object is kept as an entry of a per-object
 //! **version chain**, stamped by a monotonic commit timestamp from the
 //! store's [`CommitClock`]. The live map holds the current (possibly
-//! uncommitted) state behind `Arc` copy-on-write: installing a version is an
-//! `Arc` clone, and the first in-place mutation after it pays the deep copy.
-//! Snapshot readers resolve "newest version ≤ ts" against the chains and
-//! never consult the live map, so uncommitted in-place writes are invisible
-//! to them by construction.
+//! uncommitted) state behind `Arc` copy-on-write. Snapshot readers resolve
+//! "newest version ≤ ts" against the chains and never consult the live map,
+//! so uncommitted in-place writes are invisible to them by construction.
+//!
+//! Snapshots pin their timestamps in the clock. A reclaiming commit uses the
+//! pins twice: it recomposes the chain's newest image in place when no pin
+//! can see it, and it prunes the touched chain to the oldest pin. Chains the
+//! install could not collapse wait in a per-relation backlog for
+//! [`Store::prune_backlog`].
 
 use crate::error::StorageError;
 use crate::navigate;
 use crate::Result;
 use colock_core::TargetStep;
 use colock_nf2::{Catalog, ObjectKey, ObjectRef, RelationSchema, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 /// Poison-recovering latch acquisition: a reader/writer that panicked cannot
 /// leave a relation permanently unusable — the data is guarded by the
@@ -51,6 +57,22 @@ struct RelationData {
     /// auto-commit one version); a key absent here is invisible to every
     /// snapshot.
     chains: BTreeMap<ObjectKey, Vec<ChainEntry>>,
+    /// Keys whose chain was left holding an older entry or a tombstone —
+    /// the only chains [`Store::prune_backlog`] visits. A sweep drops a key
+    /// once its chain is down to one live image or gone.
+    backlog: BTreeSet<ObjectKey>,
+}
+
+impl RelationData {
+    /// Appends an auto-committed version without reclaiming anything; the
+    /// backlog sweep or the object's next reclaiming install prunes it.
+    fn push_version(&mut self, key: &ObjectKey, entry: ChainEntry) {
+        let chain = self.chains.entry(key.clone()).or_default();
+        chain.push(entry);
+        if needs_sweep(chain) {
+            queue(&mut self.backlog, key);
+        }
+    }
 }
 
 /// Newest chain entry visible at snapshot `ts` (`None` if the object did not
@@ -59,36 +81,141 @@ fn visible(chain: &[ChainEntry], ts: u64) -> Option<&Arc<Value>> {
     chain.iter().rev().find(|(t, _)| *t <= ts).and_then(|(_, v)| v.as_ref())
 }
 
+/// Whether pruning could ever shrink `chain`: it holds an older entry or is
+/// a lone tombstone.
+fn needs_sweep(chain: &[ChainEntry]) -> bool {
+    chain.len() > 1 || matches!(chain, [(_, None)])
+}
+
+fn queue(backlog: &mut BTreeSet<ObjectKey>, key: &ObjectKey) {
+    if !backlog.contains(key) {
+        backlog.insert(key.clone());
+    }
+}
+
+/// Prunes one chain to `watermark`: every entry older than the newest entry
+/// ≤ `watermark` is unreachable from a snapshot at or above it. Returns the
+/// entries dropped and whether the chain must stay: a lone tombstone ≤
+/// `watermark` hides nothing that a missing chain would not, so it goes too.
+fn prune_chain(chain: &mut Vec<ChainEntry>, watermark: u64) -> (u64, bool) {
+    let keep_from = chain.iter().rposition(|(t, _)| *t <= watermark).unwrap_or(0);
+    chain.drain(..keep_from);
+    match chain.as_slice() {
+        [(t, None)] if *t <= watermark => (keep_from as u64 + 1, false),
+        _ => (keep_from as u64, true),
+    }
+}
+
 /// The monotonic commit-timestamp counter (GTM-style) behind the
-/// multiversion overlay.
+/// multiversion overlay, and the one registry of pinned snapshot timestamps.
 ///
 /// `stable` is the newest timestamp whose commit is fully installed; readers
-/// snapshot it without any lock. The `gate` mutex serializes commits so a
-/// multi-object install publishes atomically: a snapshot taken at `stable`
-/// can never observe half of a commit.
+/// load it without any lock. The `gate` serializes commits and pins:
+/// [`CommitClock::commit`] holds it across a whole multi-object install, so
+/// a snapshot can never observe half of a commit, and [`CommitClock::pin`]
+/// takes it briefly, so no snapshot can be pinned while an install decides
+/// which versions it may reclaim. [`CommitClock::unpin`] only takes the
+/// short `pins` lock and never waits behind an install: an unpin the install
+/// misses only keeps a version longer.
 #[derive(Debug, Default)]
 pub struct CommitClock {
     stable: AtomicU64,
     gate: Mutex<()>,
+    /// Pinned snapshot timestamps → number of holders.
+    pins: Mutex<BTreeMap<u64, usize>>,
 }
 
 impl CommitClock {
-    /// The newest fully-installed commit timestamp — the snapshot timestamp
-    /// a read-only transaction takes at begin.
+    /// The newest fully-installed commit timestamp.
     pub fn stable(&self) -> u64 {
         self.stable.load(Ordering::Acquire)
     }
 
-    /// Runs `f` with a fresh commit timestamp under the commit gate and
-    /// publishes the timestamp as stable afterwards. `f` installs the
-    /// commit's versions; until it returns, no reader can take a snapshot
-    /// that covers the new timestamp.
-    pub fn commit<R>(&self, f: impl FnOnce(u64) -> R) -> R {
-        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+    /// The gate guards no data and every update to the pin map is a single
+    /// insert or decrement, so a panic elsewhere leaves both valid.
+    fn gate_locked(&self) -> MutexGuard<'_, ()> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn pins_locked(&self) -> MutexGuard<'_, BTreeMap<u64, usize>> {
+        self.pins.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `f` with a fresh commit under the gate and publishes the commit's
+    /// timestamp as stable afterwards. `f` installs the commit's versions;
+    /// until it returns, no reader can pin a snapshot, so none can cover the
+    /// new timestamp or see a version the install reclaims.
+    pub fn commit<R>(&self, f: impl FnOnce(&Commit) -> R) -> R {
+        let _gate = self.gate_locked();
+        let (oldest_pin, newest_pin) = {
+            let pins = self.pins_locked();
+            (pins.keys().next().copied(), pins.keys().next_back().copied())
+        };
         let ts = self.stable.load(Ordering::Relaxed) + 1;
-        let out = f(ts);
+        let out = f(&Commit { ts, oldest_pin, newest_pin });
         self.stable.store(ts, Ordering::Release);
         out
+    }
+
+    /// Pins a snapshot at the current stable timestamp and returns it. No
+    /// version the snapshot can see is pruned or recomposed until the
+    /// matching [`CommitClock::unpin`].
+    pub fn pin(&self) -> u64 {
+        let _gate = self.gate_locked();
+        // `stable` only moves under the gate.
+        let ts = self.stable.load(Ordering::Relaxed);
+        *self.pins_locked().entry(ts).or_insert(0) += 1;
+        ts
+    }
+
+    /// Releases one pin taken by [`CommitClock::pin`] at `ts`.
+    pub fn unpin(&self, ts: u64) {
+        let mut pins = self.pins_locked();
+        if let Some(n) = pins.get_mut(&ts) {
+            *n -= 1;
+            if *n == 0 {
+                pins.remove(&ts);
+            }
+        }
+    }
+
+    /// The GC low watermark: the oldest pinned snapshot timestamp, or the
+    /// stable timestamp when nothing is pinned. Pruning to it is safe after
+    /// the lock is released: a pin in progress holds the gate, so `stable`
+    /// cannot pass it, and a later pin takes a stable timestamp at or above
+    /// the watermark.
+    pub fn watermark(&self) -> u64 {
+        let pins = self.pins_locked();
+        pins.keys().next().copied().unwrap_or_else(|| self.stable.load(Ordering::Acquire))
+    }
+}
+
+/// A commit in progress inside [`CommitClock::commit`]: its timestamp and
+/// the range of pinned snapshot timestamps, which gains no pin until the
+/// commit publishes (an unpin meanwhile only makes the range conservative).
+#[derive(Debug)]
+pub struct Commit {
+    ts: u64,
+    oldest_pin: Option<u64>,
+    newest_pin: Option<u64>,
+}
+
+impl Commit {
+    /// The commit timestamp.
+    pub fn ts(&self) -> u64 {
+        self.ts
+    }
+
+    /// The oldest timestamp a snapshot may still read at: the oldest pin,
+    /// else this commit's own (every later pin is at or above it).
+    fn watermark(&self) -> u64 {
+        self.oldest_pin.map_or(self.ts, |p| p.min(self.ts))
+    }
+
+    /// Whether a pinned snapshot sees the newest version of a chain, stamped
+    /// `t`.
+    fn sees_newest(&self, t: u64) -> bool {
+        self.newest_pin.is_some_and(|p| p >= t)
     }
 }
 
@@ -111,12 +238,20 @@ pub enum VersionPatch {
 /// An O(1) versioned handle to one relation: a snapshot timestamp plus a
 /// borrow of the store. Materialization ([`RelationSnapshot::objects`],
 /// [`RelationSnapshot::get`]) resolves against the version chains at the
-/// handle's timestamp, so later writes never show through.
-#[derive(Debug, Clone, Copy)]
+/// handle's timestamp, so later writes never show through. The handle pins
+/// its timestamp in the store's [`CommitClock`] until it is dropped, so no
+/// version it can see is pruned or recomposed in the meantime.
+#[derive(Debug)]
 pub struct RelationSnapshot<'s> {
     store: &'s Store,
     relation: &'s str,
     ts: u64,
+}
+
+impl Drop for RelationSnapshot<'_> {
+    fn drop(&mut self) {
+        self.store.clock.unpin(self.ts);
+    }
 }
 
 impl RelationSnapshot<'_> {
@@ -208,7 +343,7 @@ pub struct Store {
     scan_visits: AtomicU64,
     /// Versions installed into chains (cumulative).
     versions_installed: AtomicU64,
-    /// Chain entries dropped by [`Store::prune_versions`] (cumulative).
+    /// Chain entries dropped or superseded in place by reclamation (cumulative).
     versions_pruned: AtomicU64,
 }
 
@@ -258,7 +393,7 @@ impl Store {
     /// checks that every contained reference resolves. Returns the key.
     /// Auto-commits one version (the non-transactional entry point).
     pub fn insert(&self, relation: &str, value: Value) -> Result<ObjectKey> {
-        self.clock.commit(|ts| self.insert_inner(relation, value, Some(ts)))
+        self.clock.commit(|c| self.insert_inner(relation, value, Some(c.ts())))
     }
 
     /// Transactional insert: identical checks, but no version is installed —
@@ -281,7 +416,7 @@ impl Store {
         }
         let arc = Arc::new(value);
         if let Some(ts) = version {
-            data.chains.entry(key.clone()).or_default().push((ts, Some(Arc::clone(&arc))));
+            data.push_version(&key, (ts, Some(Arc::clone(&arc))));
             self.versions_installed.fetch_add(1, Ordering::Relaxed);
         }
         data.objects.insert(key.clone(), arc);
@@ -375,13 +510,14 @@ impl Store {
             )));
         }
         self.check_refs_resolve(&value)?;
-        self.clock.commit(|ts| {
+        self.clock.commit(|c| {
+            let ts = c.ts();
             let mut data = self.data(relation)?.write_latch();
             match data.objects.get_mut(key) {
                 Some(slot) => {
                     let arc = Arc::new(value);
                     let before = std::mem::replace(slot, Arc::clone(&arc));
-                    data.chains.entry(key.clone()).or_default().push((ts, Some(arc)));
+                    data.push_version(key, (ts, Some(arc)));
                     self.versions_installed.fetch_add(1, Ordering::Relaxed);
                     Ok((*before).clone())
                 }
@@ -405,7 +541,7 @@ impl Store {
         steps: &[TargetStep],
         new_value: Value,
     ) -> Result<Value> {
-        self.clock.commit(|ts| self.update_at_inner(relation, key, steps, new_value, Some(ts)))
+        self.clock.commit(|c| self.update_at_inner(relation, key, steps, new_value, Some(c.ts())))
     }
 
     /// Transactional sub-object update: identical semantics, but the result
@@ -456,7 +592,7 @@ impl Store {
         }
         if let Some(ts) = version {
             let arc = Arc::clone(slot);
-            data.chains.entry(key.clone()).or_default().push((ts, Some(arc)));
+            data.push_version(key, (ts, Some(arc)));
             self.versions_installed.fetch_add(1, Ordering::Relaxed);
         }
         Ok(before)
@@ -610,7 +746,7 @@ impl Store {
     /// (referential integrity). Returns the before-image. Auto-commits a
     /// tombstone version (the non-transactional entry point).
     pub fn delete(&self, relation: &str, key: &ObjectKey) -> Result<Value> {
-        self.clock.commit(|ts| self.delete_inner(relation, key, Some(ts)))
+        self.clock.commit(|c| self.delete_inner(relation, key, Some(c.ts())))
     }
 
     /// Transactional delete: the object leaves the live map now, but stays
@@ -635,7 +771,7 @@ impl Store {
             key: key.clone(),
         })?;
         if let Some(ts) = version {
-            data.chains.entry(key.clone()).or_default().push((ts, None));
+            data.push_version(key, (ts, None));
             self.versions_installed.fetch_add(1, Ordering::Relaxed);
         }
         Ok((*gone).clone())
@@ -658,9 +794,9 @@ impl Store {
         Ok(())
     }
 
-    /// Installs one object's new committed version at timestamp `ts` — the
-    /// commit step of a writing transaction, called under
-    /// [`CommitClock::commit`] while the writer still holds its X locks.
+    /// Installs one object's new committed version for `commit` — the commit
+    /// step of a writing transaction, called under [`CommitClock::commit`]
+    /// while the writer still holds its X locks.
     ///
     /// `Paths` composition exists because element X locks admit concurrent
     /// writers on *sibling* elements of the same object: the live object may
@@ -668,69 +804,113 @@ impl Store {
     /// committed image plus only the committing transaction's own locked
     /// subtrees. If composition is impossible (no prior committed image, a
     /// path that no longer navigates), the whole live object is installed.
+    ///
+    /// With `reclaim`, the install also frees what no snapshot can reach any
+    /// more. A `Paths` commit recomposes the newest image in place, relabelled
+    /// with the new timestamp, when no pin sees it and the live object does
+    /// not share its allocation; otherwise it composes into a clone. Then the
+    /// chain is pruned to the commit's watermark. A chain left with an older
+    /// entry or a tombstone is queued for [`Store::prune_backlog`].
     pub fn install_version(
         &self,
         relation: &str,
         key: &ObjectKey,
-        ts: u64,
+        commit: &Commit,
         patch: &VersionPatch,
+        reclaim: bool,
     ) -> Result<()> {
         let schema = self.schema_of(relation)?;
         let mut data = self.data(relation)?.write_latch();
-        let data = &mut *data;
-        let entry = match patch {
-            VersionPatch::Tombstone => (ts, None),
-            VersionPatch::Full => {
-                let live = data.objects.get(key).ok_or_else(|| StorageError::UnknownObject {
+        let RelationData { objects, chains, backlog } = &mut *data;
+        let live = match patch {
+            VersionPatch::Tombstone => None,
+            VersionPatch::Full | VersionPatch::Paths(_) => {
+                Some(objects.get(key).ok_or_else(|| StorageError::UnknownObject {
                     relation: relation.to_string(),
                     key: key.clone(),
-                })?;
-                (ts, Some(Arc::clone(live)))
-            }
-            VersionPatch::Paths(paths) => {
-                let live = data.objects.get(key).ok_or_else(|| StorageError::UnknownObject {
-                    relation: relation.to_string(),
-                    key: key.clone(),
-                })?;
-                let base = data.chains.get(key).and_then(|c| c.last()).and_then(|(_, v)| v.as_ref());
-                match base {
-                    None => (ts, Some(Arc::clone(live))),
-                    Some(base) => {
-                        let mut img = (**base).clone();
-                        let composed =
-                            paths.iter().all(|path| compose_path(schema, live, &mut img, path));
-                        if composed {
-                            (ts, Some(Arc::new(img)))
-                        } else {
-                            (ts, Some(Arc::clone(live)))
-                        }
-                    }
-                }
+                })?)
             }
         };
-        data.chains.entry(key.clone()).or_default().push(entry);
+        if !chains.contains_key(key) {
+            chains.insert(key.clone(), Vec::new());
+        }
+        let chain = chains.get_mut(key).expect("inserted above");
+        let mut pruned = 0;
+        match (patch, live) {
+            (VersionPatch::Paths(paths), Some(live)) => {
+                let compose = |img: &mut Value| {
+                    paths.iter().all(|path| compose_path(schema, live, img, path))
+                };
+                if reclaim && recompose_in_place(chain, commit, live, compose) {
+                    pruned += 1;
+                } else {
+                    let img = match chain.last() {
+                        Some((_, Some(base))) => {
+                            let mut img = (**base).clone();
+                            if compose(&mut img) {
+                                Arc::new(img)
+                            } else {
+                                Arc::clone(live)
+                            }
+                        }
+                        _ => Arc::clone(live),
+                    };
+                    chain.push((commit.ts, Some(img)));
+                }
+            }
+            (_, live) => chain.push((commit.ts, live.cloned())),
+        }
+        let (dropped, keep) =
+            if reclaim { prune_chain(chain, commit.watermark()) } else { (0, true) };
+        pruned += dropped;
+        if !keep {
+            chains.remove(key);
+        } else if needs_sweep(chain) {
+            queue(backlog, key);
+        }
         self.versions_installed.fetch_add(1, Ordering::Relaxed);
+        self.versions_pruned.fetch_add(pruned, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Drops chain entries no active snapshot can reach: per chain, every
-    /// entry older than the newest entry ≤ `watermark` (the oldest active
-    /// snapshot timestamp). A chain whose only remaining entry is a
-    /// tombstone ≤ `watermark` is removed entirely. Returns the number of
-    /// entries dropped.
+    /// Drops chain entries no active snapshot can reach, over every chain:
+    /// per chain, every entry older than the newest entry ≤ `watermark` (the
+    /// oldest active snapshot timestamp). A chain whose only remaining entry
+    /// is a tombstone ≤ `watermark` is removed entirely. Returns the number
+    /// of entries dropped.
     pub fn prune_versions(&self, watermark: u64) -> u64 {
         let mut pruned = 0u64;
         for lock in self.relations.values() {
+            lock.write_latch().chains.retain(|_, chain| {
+                let (dropped, keep) = prune_chain(chain, watermark);
+                pruned += dropped;
+                keep
+            });
+        }
+        self.versions_pruned.fetch_add(pruned, Ordering::Relaxed);
+        pruned
+    }
+
+    /// [`Store::prune_versions`] restricted to the backlog: the chains a
+    /// version left holding an older entry or a tombstone. Every other chain
+    /// is one live image, which pruning keeps anyway. Returns the number of
+    /// entries dropped.
+    pub fn prune_backlog(&self, watermark: u64) -> u64 {
+        let mut pruned = 0u64;
+        for lock in self.relations.values() {
             let mut data = lock.write_latch();
-            data.chains.retain(|_, chain| {
-                let keep_from = chain.iter().rposition(|(t, _)| *t <= watermark).unwrap_or(0);
-                pruned += keep_from as u64;
-                chain.drain(..keep_from);
-                if chain.len() == 1 && chain[0].0 <= watermark && chain[0].1.is_none() {
-                    pruned += 1;
+            let RelationData { chains, backlog, .. } = &mut *data;
+            backlog.retain(|key| {
+                let Some(chain) = chains.get_mut(key) else {
+                    return false;
+                };
+                let (dropped, keep) = prune_chain(chain, watermark);
+                pruned += dropped;
+                if !keep {
+                    chains.remove(key);
                     return false;
                 }
-                true
+                needs_sweep(chain)
             });
         }
         self.versions_pruned.fetch_add(pruned, Ordering::Relaxed);
@@ -747,7 +927,7 @@ impl Store {
         self.versions_installed.load(Ordering::Relaxed)
     }
 
-    /// Chain entries dropped by pruning so far (cumulative).
+    /// Chain entries reclaimed so far, superseded images included (cumulative).
     pub fn versions_pruned(&self) -> u64 {
         self.versions_pruned.load(Ordering::Relaxed)
     }
@@ -775,14 +955,14 @@ impl Store {
     }
 
     /// An O(1) versioned snapshot handle of one relation, pinned at the
-    /// current stable commit timestamp. Later writes never show through;
-    /// materialization is deferred to the accessors.
+    /// current stable commit timestamp until dropped. Later writes never show
+    /// through; materialization is deferred to the accessors.
     pub fn snapshot(&self, relation: &str) -> Result<RelationSnapshot<'_>> {
         let (name, _) = self
             .relations
             .get_key_value(relation)
             .ok_or_else(|| StorageError::UnknownRelation(relation.to_string()))?;
-        Ok(RelationSnapshot { store: self, relation: name, ts: self.clock.stable() })
+        Ok(RelationSnapshot { store: self, relation: name, ts: self.clock.pin() })
     }
 
     /// Objects visited by all reverse scans so far.
@@ -829,6 +1009,34 @@ impl Store {
         }
         Ok(())
     }
+}
+
+/// Recomposes the chain's newest image in place for `commit` and relabels it
+/// with the commit's timestamp, when no pinned snapshot sees that image and
+/// the live object does not share its allocation. Returns whether it did; the
+/// superseded version is then gone. A path that fails to compose leaves the
+/// image half-written, and nothing can read it any more, so the live object
+/// replaces it, as on the clone path.
+fn recompose_in_place(
+    chain: &mut [ChainEntry],
+    commit: &Commit,
+    live: &Arc<Value>,
+    compose: impl Fn(&mut Value) -> bool,
+) -> bool {
+    let Some((t, Some(base))) = chain.last_mut() else {
+        return false;
+    };
+    if commit.sees_newest(*t) {
+        return false;
+    }
+    let Some(img) = Arc::get_mut(base) else {
+        return false;
+    };
+    if !compose(img) {
+        *base = Arc::clone(live);
+    }
+    *t = commit.ts;
+    true
 }
 
 /// Copies the subtree at `path` from `live` into `img`, element-aware: a
@@ -1126,12 +1334,11 @@ mod tests {
         s.insert_pending("effectors", effector("e2", "b")).unwrap();
         assert!(!s.contains_at("effectors", &ObjectKey::from("e2"), s.clock().stable()));
         // Install both at one commit timestamp.
-        s.clock().commit(|ts| {
-            s.install_version("effectors", &ObjectKey::from("e1"), ts, &VersionPatch::Paths(vec![vec![
-                TargetStep::attr("tool"),
-            ]]))
-            .unwrap();
-            s.install_version("effectors", &ObjectKey::from("e2"), ts, &VersionPatch::Full).unwrap();
+        s.clock().commit(|c| {
+            let tool = VersionPatch::Paths(vec![vec![TargetStep::attr("tool")]]);
+            s.install_version("effectors", &ObjectKey::from("e1"), c, &tool, false).unwrap();
+            s.install_version("effectors", &ObjectKey::from("e2"), c, &VersionPatch::Full, false)
+                .unwrap();
         });
         let now = s.clock().stable();
         assert_eq!(
@@ -1161,16 +1368,18 @@ mod tests {
         // Both are pending; T1 commits first.
         s.update_at_pending("cells", &key, &r1, Value::str("t1-traj")).unwrap();
         s.update_at_pending("cells", &key, &r2, Value::str("t2-dirty")).unwrap();
-        s.clock().commit(|ts| {
-            s.install_version("cells", &key, ts, &VersionPatch::Paths(vec![r1.clone()])).unwrap();
+        s.clock().commit(|c| {
+            s.install_version("cells", &key, c, &VersionPatch::Paths(vec![r1.clone()]), false)
+                .unwrap();
         });
         let now = s.clock().stable();
         // T1's commit carries its own subtree but NOT T2's uncommitted write.
         assert_eq!(s.get_at_snapshot("cells", &key, &r1, now).unwrap(), Value::str("t1-traj"));
         assert_eq!(s.get_at_snapshot("cells", &key, &r2, now).unwrap(), Value::str("t-r2"));
         // After T2 commits, its subtree is visible too.
-        s.clock().commit(|ts| {
-            s.install_version("cells", &key, ts, &VersionPatch::Paths(vec![r2.clone()])).unwrap();
+        s.clock().commit(|c| {
+            s.install_version("cells", &key, c, &VersionPatch::Paths(vec![r2.clone()]), false)
+                .unwrap();
         });
         let later = s.clock().stable();
         assert_eq!(s.get_at_snapshot("cells", &key, &r2, later).unwrap(), Value::str("t2-dirty"));
@@ -1247,8 +1456,8 @@ mod tests {
         s.insert_element_pending("cells", &key, &robots, robot("r2")).unwrap();
         s.update_at_pending("cells", &key, &r1_traj, Value::str("t2-dirty")).unwrap();
         // T1 commits alone.
-        s.clock().commit(|ts| {
-            s.install_version("cells", &key, ts, &VersionPatch::Paths(vec![r2_path.clone()]))
+        s.clock().commit(|c| {
+            s.install_version("cells", &key, c, &VersionPatch::Paths(vec![r2_path.clone()]), false)
                 .unwrap();
         });
         let now = s.clock().stable();
@@ -1256,8 +1465,8 @@ mod tests {
         assert!(s.get_at_snapshot("cells", &key, &r2_path, now).is_ok());
         assert_eq!(s.get_at_snapshot("cells", &key, &r1_traj, now).unwrap(), Value::str("t-r1"));
         // T2 commits; its update lands on top of the insert.
-        s.clock().commit(|ts| {
-            s.install_version("cells", &key, ts, &VersionPatch::Paths(vec![r1_traj.clone()]))
+        s.clock().commit(|c| {
+            s.install_version("cells", &key, c, &VersionPatch::Paths(vec![r1_traj.clone()]), false)
                 .unwrap();
         });
         let later = s.clock().stable();
@@ -1279,8 +1488,8 @@ mod tests {
         s.remove_element_pending("cells", &key, &robots, &ObjectKey::from("r2")).unwrap();
         // Visible to snapshots until the removal commits.
         assert!(s.get_at_snapshot("cells", &key, &r2_path, s.clock().stable()).is_ok());
-        s.clock().commit(|ts| {
-            s.install_version("cells", &key, ts, &VersionPatch::Paths(vec![r2_path.clone()]))
+        s.clock().commit(|c| {
+            s.install_version("cells", &key, c, &VersionPatch::Paths(vec![r2_path.clone()]), false)
                 .unwrap();
         });
         assert!(s.get_at_snapshot("cells", &key, &r2_path, s.clock().stable()).is_err());
@@ -1296,8 +1505,8 @@ mod tests {
         s.delete_pending("effectors", &ObjectKey::from("e1")).unwrap();
         // Still visible to snapshots until the tombstone commits.
         assert!(s.contains_at("effectors", &ObjectKey::from("e1"), s.clock().stable()));
-        s.clock().commit(|ts| {
-            s.install_version("effectors", &ObjectKey::from("e1"), ts, &VersionPatch::Tombstone)
+        s.clock().commit(|c| {
+            s.install_version("effectors", &ObjectKey::from("e1"), c, &VersionPatch::Tombstone, false)
                 .unwrap();
         });
         assert!(!s.contains_at("effectors", &ObjectKey::from("e1"), s.clock().stable()));
@@ -1338,5 +1547,140 @@ mod tests {
         let pruned = s.prune_versions(s.clock().stable());
         assert_eq!(pruned, 2);
         assert_eq!(s.version_entries("effectors").unwrap(), 0);
+    }
+
+    /// One reclaiming commit of `patch` on `relation[key]`.
+    fn commit_reclaiming(s: &Store, relation: &str, key: &ObjectKey, patch: VersionPatch) {
+        s.clock().commit(|c| s.install_version(relation, key, c, &patch, true)).unwrap();
+    }
+
+    /// The timestamps of `relation[key]`'s chain and the address of its
+    /// newest image (an address, not an `Arc`: holding a clone would itself
+    /// stop the next install from reusing the image).
+    fn chain_shape(s: &Store, relation: &str, key: &ObjectKey) -> (Vec<u64>, *const Value) {
+        let data = s.data(relation).unwrap().read_latch();
+        let chain = &data.chains[key];
+        let newest =
+            chain.last().and_then(|(_, v)| v.as_ref()).map_or(std::ptr::null(), Arc::as_ptr);
+        (chain.iter().map(|(t, _)| *t).collect(), newest)
+    }
+
+    fn live_ptr(s: &Store, relation: &str, key: &ObjectKey) -> *const Value {
+        Arc::as_ptr(&s.data(relation).unwrap().read_latch().objects[key])
+    }
+
+    fn r1_trajectory() -> Vec<TargetStep> {
+        vec![TargetStep::elem("robots", "r1"), TargetStep::attr("trajectory")]
+    }
+
+    #[test]
+    fn unpinned_commit_recomposes_the_newest_image_in_place() {
+        let s = store();
+        s.insert("cells", cell("c1", vec![("r1", vec![]), ("r2", vec![])])).unwrap();
+        let key = ObjectKey::from("c1");
+        let path = r1_trajectory();
+        // The first pending write unshares live from the inserted version;
+        // this commit already composes into that image instead of a clone.
+        s.update_at_pending("cells", &key, &path, Value::str("v1")).unwrap();
+        let (_, before) = chain_shape(&s, "cells", &key);
+        commit_reclaiming(&s, "cells", &key, VersionPatch::Paths(vec![path.clone()]));
+        for i in 2..=4 {
+            s.update_at_pending("cells", &key, &path, Value::str(format!("v{i}"))).unwrap();
+            commit_reclaiming(&s, "cells", &key, VersionPatch::Paths(vec![path.clone()]));
+        }
+        let (stamps, after) = chain_shape(&s, "cells", &key);
+        assert_eq!(stamps, vec![s.clock().stable()], "one entry, relabelled per commit");
+        assert!(std::ptr::eq(before, after), "the image allocation is reused");
+        assert_ne!(after, live_ptr(&s, "cells", &key));
+        let now = s.get_at_snapshot("cells", &key, &path, s.clock().stable()).unwrap();
+        assert_eq!(now, Value::str("v4"));
+        // Each reuse superseded one version.
+        assert_eq!(s.versions_pruned(), 4);
+    }
+
+    #[test]
+    fn pinned_newest_image_is_cloned_and_keeps_its_reader() {
+        let s = store();
+        s.insert("cells", cell("c1", vec![("r1", vec![]), ("r2", vec![])])).unwrap();
+        let key = ObjectKey::from("c1");
+        let path = r1_trajectory();
+        s.update_at_pending("cells", &key, &path, Value::str("v1")).unwrap();
+        commit_reclaiming(&s, "cells", &key, VersionPatch::Paths(vec![path.clone()]));
+        // A reader pins exactly the superseded timestamp.
+        let pinned = s.clock().pin();
+        let (_, old) = chain_shape(&s, "cells", &key);
+        s.update_at_pending("cells", &key, &path, Value::str("v2")).unwrap();
+        commit_reclaiming(&s, "cells", &key, VersionPatch::Paths(vec![path.clone()]));
+        let (stamps, new) = chain_shape(&s, "cells", &key);
+        assert_eq!(stamps, vec![pinned, s.clock().stable()]);
+        assert!(!std::ptr::eq(old, new), "a fresh image was built");
+        assert_eq!(s.get_at_snapshot("cells", &key, &path, pinned).unwrap(), Value::str("v1"));
+        let now = s.get_at_snapshot("cells", &key, &path, s.clock().stable()).unwrap();
+        assert_eq!(now, Value::str("v2"));
+        // Unpinned, the next commit reuses the image and prunes the chain.
+        s.clock().unpin(pinned);
+        s.update_at_pending("cells", &key, &path, Value::str("v3")).unwrap();
+        commit_reclaiming(&s, "cells", &key, VersionPatch::Paths(vec![path.clone()]));
+        let (stamps, newest) = chain_shape(&s, "cells", &key);
+        assert_eq!(stamps, vec![s.clock().stable()]);
+        assert!(std::ptr::eq(new, newest));
+    }
+
+    #[test]
+    fn image_shared_with_live_takes_the_clone_path() {
+        let s = store();
+        let key = s.insert_pending("effectors", effector("e1", "a")).unwrap();
+        commit_reclaiming(&s, "effectors", &key, VersionPatch::Full);
+        let (_, full) = chain_shape(&s, "effectors", &key);
+        assert!(std::ptr::eq(full, live_ptr(&s, "effectors", &key)), "Full shares live's Arc");
+        // No write has unshared them, so a Paths commit may not compose into
+        // the image: that would write into the live object too.
+        let tool = vec![TargetStep::attr("tool")];
+        commit_reclaiming(&s, "effectors", &key, VersionPatch::Paths(vec![tool]));
+        let (stamps, cloned) = chain_shape(&s, "effectors", &key);
+        assert_eq!(stamps, vec![s.clock().stable()]);
+        assert!(!std::ptr::eq(cloned, live_ptr(&s, "effectors", &key)));
+        assert_eq!(s.get("effectors", &key).unwrap(), effector("e1", "a"));
+        let now = s.get_at_snapshot("effectors", &key, &[], s.clock().stable()).unwrap();
+        assert_eq!(now, effector("e1", "a"));
+    }
+
+    #[test]
+    fn in_place_compose_failure_installs_the_live_object() {
+        let s = store();
+        s.insert("effectors", effector("e1", "a")).unwrap();
+        let key = ObjectKey::from("e1");
+        let tool = [TargetStep::attr("tool")];
+        s.update_at_pending("effectors", &key, &tool, Value::str("b")).unwrap();
+        // The first path composes into the reused image, the second cannot.
+        let paths = vec![vec![TargetStep::attr("tool")], vec![TargetStep::attr("no_such_attr")]];
+        commit_reclaiming(&s, "effectors", &key, VersionPatch::Paths(paths));
+        let (stamps, newest) = chain_shape(&s, "effectors", &key);
+        assert_eq!(stamps, vec![s.clock().stable()]);
+        assert!(std::ptr::eq(newest, live_ptr(&s, "effectors", &key)));
+        let now = s.get_at_snapshot("effectors", &key, &[], s.clock().stable()).unwrap();
+        assert_eq!(now, effector("e1", "b"));
+    }
+
+    #[test]
+    fn backlog_sweep_drops_a_dead_tombstone_chain_past_the_watermark() {
+        let s = store();
+        s.insert("effectors", effector("e1", "a")).unwrap();
+        s.insert("effectors", effector("e2", "b")).unwrap();
+        let key = ObjectKey::from("e1");
+        let pinned = s.clock().pin();
+        s.delete_pending("effectors", &key).unwrap();
+        commit_reclaiming(&s, "effectors", &key, VersionPatch::Tombstone);
+        // The pinned reader still sees e1, so the install kept the chain.
+        assert!(s.contains_at("effectors", &key, pinned));
+        assert_eq!(s.version_entries("effectors").unwrap(), 3);
+        assert_eq!(s.prune_backlog(s.clock().watermark()), 0);
+        s.clock().unpin(pinned);
+        // Past the watermark the whole chain goes; e2 was never queued.
+        assert_eq!(s.prune_backlog(s.clock().watermark()), 2);
+        assert_eq!(s.version_entries("effectors").unwrap(), 1);
+        assert!(s.data("effectors").unwrap().read_latch().backlog.is_empty());
+        let now = s.keys_at("effectors", s.clock().stable()).unwrap();
+        assert_eq!(now, vec![ObjectKey::from("e2")]);
     }
 }

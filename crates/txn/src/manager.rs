@@ -11,7 +11,7 @@ use colock_lockmgr::txnid::TxnIdGen;
 use colock_lockmgr::{Journal, JournalSink, LockManager, TxnId};
 use colock_lockmgr::LockStats;
 use colock_storage::Store;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -67,8 +67,8 @@ pub(crate) struct TxnState {
     pub cache: Arc<TxnLockCache>,
     /// Begun via `begin_readonly`: must never write.
     pub readonly: bool,
-    /// Snapshot timestamp pinned at begin (MVCC read-only transactions
-    /// only); unregistered from the GC watermark set at EOT.
+    /// Snapshot timestamp pinned in the store's commit clock at begin (MVCC
+    /// read-only transactions only); unpinned at EOT.
     pub snapshot_ts: Option<u64>,
 }
 
@@ -88,13 +88,10 @@ pub struct TransactionManager {
     /// Multiversion overlay toggle (`COLOCK_NO_MVCC` ablation): off,
     /// `begin_readonly` degrades to a locking reader.
     mvcc: AtomicBool,
-    /// Active snapshot timestamps → number of pinning transactions. The min
-    /// key is the GC low watermark; pruning runs under this mutex so a
-    /// concurrent `begin_readonly` cannot pin a timestamp mid-prune.
-    snapshots: Mutex<BTreeMap<u64, usize>>,
-    /// Writer commits since the last GC pass.
+    /// Writer commits since the last backlog sweep.
     commits_since_gc: AtomicU64,
-    /// GC cadence in writer commits (`COLOCK_GC_EVERY`, 0 = off).
+    /// Backlog-sweep cadence in writer commits (`COLOCK_GC_EVERY`, 0 = no
+    /// automatic reclamation at all).
     gc_every: AtomicU64,
     /// Semantic commutativity container modes toggle (`COLOCK_NO_SEMANTIC`
     /// ablation): off, element operations degrade to classical X on the
@@ -111,7 +108,7 @@ fn mvcc_default() -> bool {
 }
 
 /// `COLOCK_GC_EVERY` overrides the version-GC cadence (default every 64
-/// writer commits; 0 disables automatic pruning).
+/// writer commits; 0 disables automatic reclamation).
 fn gc_every_default() -> u64 {
     std::env::var("COLOCK_GC_EVERY").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
 }
@@ -156,15 +153,10 @@ impl TransactionManager {
             states: Mutex::new(HashMap::new()),
             journal: OnceLock::new(),
             mvcc: AtomicBool::new(mvcc_default()),
-            snapshots: Mutex::new(BTreeMap::new()),
             commits_since_gc: AtomicU64::new(0),
             gc_every: AtomicU64::new(gc_every_default()),
             semantic: AtomicBool::new(semantic_default()),
         }
-    }
-
-    fn snapshots_locked(&self) -> MutexGuard<'_, BTreeMap<u64, usize>> {
-        self.snapshots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether the multiversion read overlay is active (read-only
@@ -209,7 +201,9 @@ impl TransactionManager {
             .unwrap_or(false)
     }
 
-    /// Version-GC cadence in writer commits (0 = automatic GC off).
+    /// Version-GC cadence in writer commits: every commit reclaims what its
+    /// own install supersedes, and every `gc_every`-th also sweeps the
+    /// chains left over (0 = no automatic reclamation).
     pub fn gc_every(&self) -> u64 {
         self.gc_every.load(Ordering::Relaxed)
     }
@@ -221,27 +215,18 @@ impl TransactionManager {
     }
 
     /// The GC low watermark: the oldest snapshot timestamp still pinned by
-    /// an active read-only transaction, or the current stable timestamp when
-    /// none is active. Versions older than the newest chain entry ≤ this are
-    /// unreachable.
+    /// an active read-only transaction or store snapshot handle, or the
+    /// current stable timestamp when none is active. Versions older than the
+    /// newest chain entry ≤ this are unreachable.
     pub fn low_watermark(&self) -> u64 {
-        self.snapshots_locked()
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.store.clock().stable())
+        self.store.clock().watermark()
     }
 
-    /// Prunes version chains up to the low watermark now; returns entries
-    /// dropped. Runs automatically every [`TransactionManager::gc_every`]
-    /// writer commits.
+    /// Prunes every version chain up to the low watermark now; returns
+    /// entries dropped. Automatic reclamation never walks every chain: see
+    /// [`TransactionManager::gc_every`].
     pub fn gc_versions(&self) -> u64 {
-        // Hold the snapshot registry across the prune: a reader beginning
-        // concurrently pins stable() ≥ our watermark, which pruning keeps.
-        let snaps = self.snapshots_locked();
-        let watermark =
-            snaps.keys().next().copied().unwrap_or_else(|| self.store.clock().stable());
-        self.store.prune_versions(watermark)
+        self.store.prune_versions(self.low_watermark())
     }
 
     /// Locks the per-transaction state map, recovering from poisoning so a
@@ -365,16 +350,7 @@ impl TransactionManager {
     /// detail `readonly-locking`), which is the ablation baseline.
     pub fn begin_readonly(&self) -> Transaction<'_> {
         let id = self.idgen.next();
-        let snap = if self.mvcc_enabled() {
-            // Pin under the registry lock so a concurrent GC pass cannot
-            // compute a watermark above this timestamp before it lands.
-            let mut snaps = self.snapshots_locked();
-            let ts = self.store.clock().stable();
-            *snaps.entry(ts).or_insert(0) += 1;
-            Some(ts)
-        } else {
-            None
-        };
+        let snap = self.mvcc_enabled().then(|| self.store.clock().pin());
         self.states_locked().insert(
             id,
             TxnState {
@@ -537,14 +513,8 @@ impl TransactionManager {
             .remove(&txn)
             .ok_or(TxnError::NotActive(txn))?;
         if let Some(ts) = state.snapshot_ts {
-            // Unpin the snapshot; the GC watermark may advance past it now.
-            let mut snaps = self.snapshots_locked();
-            if let Some(n) = snaps.get_mut(&ts) {
-                *n -= 1;
-                if *n == 0 {
-                    snaps.remove(&ts);
-                }
-            }
+            // The GC watermark may advance past the snapshot now.
+            self.store.clock().unpin(ts);
         }
         let rolled_back = if commit {
             Ok(())
@@ -554,16 +524,18 @@ impl TransactionManager {
         // A committing writer installs its new versions *before* releasing
         // its X locks: the patches are composed from subtrees no concurrent
         // transaction may touch yet, and the commit gate makes the whole
-        // multi-object install atomic to snapshot readers.
+        // multi-object install atomic to snapshot readers. With automatic
+        // reclamation on, each install also frees the versions it supersedes.
+        let every = self.gc_every();
         let mut commit_ts = None;
         let installed: std::result::Result<(), colock_storage::StorageError> = if commit
             && !state.undo.is_empty()
         {
             let patches = crate::undo::commit_patches(&self.store, &state.undo);
-            self.store.clock().commit(|ts| {
-                commit_ts = Some(ts);
+            self.store.clock().commit(|c| {
+                commit_ts = Some(c.ts());
                 for (relation, key, patch) in &patches {
-                    self.store.install_version(relation, key, ts, patch)?;
+                    self.store.install_version(relation, key, c, patch, every > 0)?;
                 }
                 Ok(())
             })
@@ -589,13 +561,11 @@ impl TransactionManager {
                 None => ev,
             }
         });
-        if commit && !state.undo.is_empty() {
-            let every = self.gc_every.load(Ordering::Relaxed);
-            if every > 0
-                && (self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every)
-            {
-                self.gc_versions();
-            }
+        if commit_ts.is_some()
+            && every > 0
+            && (self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every)
+        {
+            self.store.prune_backlog(self.low_watermark());
         }
         rolled_back.map_err(TxnError::from).and(installed.map_err(TxnError::from))
     }

@@ -227,3 +227,65 @@ fn snapshot_sees_committed_inserts_and_deletes_consistently() {
     assert!(post_delete.snapshot_read(&InstanceTarget::object("effectors", key)).is_err());
     post_delete.commit().unwrap();
 }
+
+#[test]
+fn store_snapshot_handle_pins_its_versions_against_reclamation() {
+    let mgr = manager();
+    mgr.set_gc_every(64);
+    let store = Arc::clone(mgr.store());
+    let key = ObjectKey::from("c1");
+    let handle = store.snapshot("cells").unwrap();
+    let before = handle.get(&key).expect("committed at setup");
+    assert_eq!(mgr.low_watermark(), handle.ts());
+    // Enough transactional commits on the object for in-place reuse and a
+    // backlog sweep; neither may take the version the handle sees.
+    for i in 0..64 {
+        let w = mgr.begin(TxnKind::Short);
+        w.update(&trajectory("r1"), Value::str(format!("v{i}"))).unwrap();
+        w.commit().unwrap();
+    }
+    assert_eq!(handle.get(&key), Some(before));
+    assert_eq!(handle.keys().len(), 1);
+    // Dropping the handle unpins it: the next sweep collapses the chain.
+    drop(handle);
+    assert_eq!(mgr.low_watermark(), store.clock().stable());
+    mgr.gc_versions();
+    assert_eq!(store.version_entries("cells").unwrap(), 1);
+}
+
+#[test]
+fn snapshot_reads_stay_repeatable_under_reclaiming_writers() {
+    let mgr = manager();
+    mgr.set_gc_every(4);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let version = |v: &Value| match v {
+        Value::Str(s) => s.trim_start_matches('v').parse::<u64>().unwrap_or(0),
+        other => panic!("trajectory is a string, got {other:?}"),
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 1..=1500u64 {
+                let w = mgr.begin(TxnKind::Short);
+                w.update(&trajectory("r1"), Value::str(format!("v{i}"))).unwrap();
+                w.commit().unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        // Each snapshot must keep reading the value it first saw while the
+        // writer's installs recompose and prune around it, and successive
+        // snapshots never go back in time.
+        let mut last = 0;
+        while !done.load(std::sync::atomic::Ordering::Relaxed) {
+            let reader = mgr.begin_readonly();
+            let first = reader.snapshot_read(&trajectory("r1")).unwrap();
+            let handle = mgr.store().snapshot("cells").unwrap();
+            let cell = handle.get(&ObjectKey::from("c1")).unwrap();
+            std::thread::yield_now();
+            assert_eq!(reader.snapshot_read(&trajectory("r1")).unwrap(), first);
+            assert_eq!(handle.get(&ObjectKey::from("c1")).unwrap(), cell);
+            assert!(version(&first) >= last, "snapshot went back in time");
+            last = version(&first);
+            reader.commit().unwrap();
+        }
+    });
+}
